@@ -20,8 +20,19 @@
 //   --dump-trace=FILE     write the synthetic trace to FILE and exit
 //   --records=N           records to dump (default: 100000)
 //   --list                list available benchmark profiles and exit
+//
+// A malformed value (a number that is not a whole unsigned integer, an
+// unknown benchmark or policy, an unreadable --trace file) names the
+// flag on stderr and exits 2, like the bench binaries. A failure found
+// later (a trace file that does not parse, an output that cannot be
+// written) prints the error and exits 1.
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <exception>
+#include <fstream>
+#include <optional>
 #include <string>
 
 #include "common/table.h"
@@ -34,15 +45,39 @@ namespace {
 
 using namespace mecc;
 
-[[nodiscard]] std::string flag_value(int argc, char** argv,
-                                     const std::string& name,
-                                     const std::string& fallback) {
+[[nodiscard]] std::optional<std::string> flag_value(int argc, char** argv,
+                                                    const std::string& name) {
   const std::string prefix = "--" + name + "=";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
   }
-  return fallback;
+  return std::nullopt;
+}
+
+[[noreturn]] void bad_flag(const char* argv0, const std::string& name,
+                           const std::string& value, const char* expected) {
+  std::fprintf(stderr, "%s: error: invalid value '%s' for --%s: expected %s\n",
+               argv0, value.c_str(), name.c_str(), expected);
+  std::exit(2);
+}
+
+/// The flag's value parsed as a whole unsigned decimal of at least `min`,
+/// or `fallback` when the flag is absent.
+[[nodiscard]] std::uint64_t numeric_flag(int argc, char** argv,
+                                         const std::string& name,
+                                         std::uint64_t fallback,
+                                         std::uint64_t min = 0) {
+  const std::optional<std::string> s = flag_value(argc, argv, name);
+  if (!s) return fallback;
+  std::uint64_t v = 0;
+  const char* end = s->data() + s->size();
+  const auto [ptr, ec] = std::from_chars(s->data(), end, v);
+  if (s->empty() || ec != std::errc() || ptr != end || v < min) {
+    bad_flag(argv[0], name, *s,
+             min > 0 ? "a positive integer" : "a non-negative integer");
+  }
+  return v;
 }
 
 [[nodiscard]] bool flag_set(int argc, char** argv, const std::string& name) {
@@ -63,9 +98,7 @@ void list_benchmarks() {
   t.print("Available benchmark profiles (Table III)");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace mecc::sim;
 
   if (flag_set(argc, argv, "list")) {
@@ -78,16 +111,26 @@ int main(int argc, char** argv) {
   }
 
   const std::string bench_name =
-      flag_value(argc, argv, "benchmark", "sphinx3");
-  const trace::BenchmarkProfile& profile = trace::benchmark(bench_name);
+      flag_value(argc, argv, "benchmark").value_or("sphinx3");
+  const trace::BenchmarkProfile* found = nullptr;
+  for (const auto& b : trace::all_benchmarks()) {
+    if (b.name == bench_name) {
+      found = &b;
+      break;
+    }
+  }
+  if (found == nullptr) {
+    bad_flag(argv[0], "benchmark", bench_name,
+             "a benchmark profile name (see --list)");
+  }
+  const trace::BenchmarkProfile& profile = *found;
+  const std::uint64_t seed = numeric_flag(argc, argv, "seed", 1);
 
-  const std::string dump = flag_value(argc, argv, "dump-trace", "");
+  const std::string dump = flag_value(argc, argv, "dump-trace").value_or("");
   if (!dump.empty()) {
     const auto count = static_cast<std::size_t>(
-        std::stoull(flag_value(argc, argv, "records", "100000")));
-    trace::GeneratorSource src(
-        profile, trace::GeneratorConfig{
-                     .seed = std::stoull(flag_value(argc, argv, "seed", "1"))});
+        numeric_flag(argc, argv, "records", 100'000, 1));
+    trace::GeneratorSource src(profile, trace::GeneratorConfig{.seed = seed});
     trace::write_trace_file(dump, trace::capture(src, count));
     std::printf("wrote %zu records of %s to %s\n", count,
                 profile.name.data(), dump.c_str());
@@ -96,26 +139,29 @@ int main(int argc, char** argv) {
 
   SystemConfig cfg;
   cfg.instructions =
-      std::stoull(flag_value(argc, argv, "instructions", "20000000"));
-  cfg.seed = std::stoull(flag_value(argc, argv, "seed", "1"));
+      numeric_flag(argc, argv, "instructions", cfg.instructions, 1);
+  cfg.seed = seed;
   cfg.ecc6_decode_cycles =
-      std::stoull(flag_value(argc, argv, "decode-cycles", "30"));
-  cfg.strong_ecc_t = std::stoull(flag_value(argc, argv, "strong-t", "6"));
+      numeric_flag(argc, argv, "decode-cycles", cfg.ecc6_decode_cycles);
+  cfg.strong_ecc_t = numeric_flag(argc, argv, "strong-t", cfg.strong_ecc_t);
   cfg.mecc_use_smd = flag_set(argc, argv, "smd");
   cfg.mecc_use_mdt = !flag_set(argc, argv, "no-mdt");
-  cfg.trace_file = flag_value(argc, argv, "trace", "");
+  cfg.trace_file = flag_value(argc, argv, "trace").value_or("");
+  if (!cfg.trace_file.empty() && !std::ifstream(cfg.trace_file)) {
+    bad_flag(argv[0], "trace", cfg.trace_file, "a readable trace file");
+  }
 
-  const std::string policy_s = flag_value(argc, argv, "policy", "mecc");
+  const std::string policy_s =
+      flag_value(argc, argv, "policy").value_or("mecc");
   EccPolicy policy = EccPolicy::kMecc;
   if (policy_s == "baseline") policy = EccPolicy::kNoEcc;
   else if (policy_s == "secded") policy = EccPolicy::kSecded;
   else if (policy_s == "ecc6") policy = EccPolicy::kEcc6;
   else if (policy_s != "mecc") {
-    std::fprintf(stderr, "unknown policy '%s'\n", policy_s.c_str());
-    return 1;
+    bad_flag(argv[0], "policy", policy_s, "baseline, secded, ecc6 or mecc");
   }
 
-  const std::string csv_path = flag_value(argc, argv, "csv", "");
+  const std::string csv_path = flag_value(argc, argv, "csv").value_or("");
   if (flag_set(argc, argv, "suite")) {
     std::printf("running all 28 benchmarks under %s...\n",
                 policy_name(policy).c_str());
@@ -191,4 +237,15 @@ int main(int argc, char** argv) {
                   .total_mw(),
               pm.idle_power(0.064).total_mw());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: error: %s\n", argv[0], e.what());
+    return 1;
+  }
 }

@@ -9,8 +9,9 @@
 #                              # + parallel-runner + stats/JSON tests
 #                              # under TSan
 #   scripts/tier1.sh --asan    # additionally build with -DMECC_ASAN=ON
-#                              # into build-asan/ and run the reliability
-#                              # + fault-campaign tests under ASan+UBSan
+#                              # into build-asan/ and run the reliability,
+#                              # fault-campaign, mode-store, engine and
+#                              # System tests under ASan+UBSan
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -214,7 +215,8 @@ if [[ "$run_asan" == 1 ]]; then
     test_json test_trace test_observability test_codec_equivalence \
     test_refresh_policy test_controller_fuzz test_elastic_refresh \
     test_fleet_orchestrator test_stats \
-    test_telemetry test_profile test_stat_audit
+    test_telemetry test_profile test_stat_audit \
+    test_mode_store test_engine test_system
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R 'FaultInjector|MonteCarlo|MemoryImage|ShadowMemory|DuePolicy|FaultCampaign|LineCodec|BitVec|FastForward|JsonEscape|JsonWriter|Tracer|MetricsSampler|Observability|CodecEquivalence|PerBankRefresh|DarpRefresh|SarpRefresh|ElasticRefresh|ControllerFuzz|ControllerStress|Fleet|StatSet|StatRegistry|Distribution|QuantileSketch|Telemetry|ProgressRecord|ProgressTailer|SnapshotJson|HostProfiler|StatAudit'
+    -R 'FaultInjector|MonteCarlo|MemoryImage|ShadowMemory|DuePolicy|FaultCampaign|LineCodec|BitVec|FastForward|JsonEscape|JsonWriter|Tracer|MetricsSampler|Observability|CodecEquivalence|PerBankRefresh|DarpRefresh|SarpRefresh|ElasticRefresh|ControllerFuzz|ControllerStress|Fleet|StatSet|StatRegistry|Distribution|QuantileSketch|Telemetry|ProgressRecord|ProgressTailer|SnapshotJson|HostProfiler|StatAudit|^(ModeStore|Engine|System)\.'
 fi

@@ -54,7 +54,7 @@ class Engine {
  public:
   explicit Engine(const EngineConfig& config)
       : config_(config),
-        modes_(config.memory_lines, LineMode::kStrong),
+        modes_(config.memory_lines),
         mdt_(config.memory_bytes, config.mdt_entries),
         smd_(config.smd_quantum_cycles, config.smd_mpkc_threshold) {}
 
@@ -140,7 +140,7 @@ class Engine {
                            : config_.memory_lines;
     r.upgrade_cycles = r.lines_upgraded * config_.upgrade_cycles_per_line;
     r.upgrade_seconds = cycles_to_seconds(r.upgrade_cycles);
-    modes_.set_all(LineMode::kStrong);
+    modes_.reset();
     mdt_.reset();
     ++idle_entries_;
     lines_upgraded_ += r.lines_upgraded;
@@ -168,7 +168,7 @@ class Engine {
   /// every line with strong ECC and clear the MDT, exactly like an idle
   /// entry but driven by the error handler rather than the lifecycle.
   void force_upgrade() {
-    modes_.set_all(LineMode::kStrong);
+    modes_.reset();
     mdt_.reset();
     ++forced_upgrades_;
     if (tracer_ != nullptr) {

@@ -6,6 +6,7 @@
 
 #include <set>
 #include <tuple>
+#include <type_traits>
 
 #include "common/rng.h"
 #include "ecc/bch.h"
@@ -13,11 +14,14 @@
 namespace mecc::ecc {
 namespace {
 
+// No padding: gtest prints a parameter's bytes into its ctest id, and
+// padding bytes hold whatever the stack held.
 struct GridPoint {
-  unsigned m;
+  std::size_t m;
   std::size_t t;
   std::size_t k;
 };
+static_assert(std::has_unique_object_representations_v<GridPoint>);
 
 class BchGrid : public ::testing::TestWithParam<GridPoint> {
  protected:

@@ -9,6 +9,7 @@
 
 #include <map>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -116,11 +117,16 @@ TEST(ControllerStress, SaturatingReadStreamDrains) {
 // (elapsed/tREFI - budget - 1) REFpb commands — the per-bank coverage
 // an all-bank REF per tREFI would have provided, minus the allowed
 // postponement.
+//
+// Every byte of a parameter is defined (the name is held inline; no
+// pointer, no padding): gtest prints a parameter's bytes into its ctest
+// id, and a pointer's bytes change from run to run.
 struct PerBankFuzzParam {
-  const char* name;
+  char name[14];
   bool darp;
   bool sarp;
 };
+static_assert(std::has_unique_object_representations_v<PerBankFuzzParam>);
 
 class PerBankRefreshFuzz : public ::testing::TestWithParam<PerBankFuzzParam> {
 };

@@ -7,7 +7,10 @@
 // that InOrderCore::advance_gap matches the per-cycle tick sequence.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -82,13 +85,44 @@ INSTANTIATE_TEST_SUITE_P(Policies, FastForwardPolicy,
 // must stay bit-identical under per-bank refresh, DARP's out-of-order
 // pull-in/postpone machinery, and SARP's subarray overlap — their
 // per-bank due times and pull-in horizons are new next_event sources.
-struct RefreshPolicyCase {
-  const char* name;
-  memctrl::RefreshGranularity granularity;
-  bool darp;
-  bool sarp;
-  bool elastic;
+//
+// Every byte of a case is defined (the name is held inline; no pointer,
+// no padding): gtest prints a parameter's bytes into its ctest id, and
+// a pointer's bytes change from run to run.
+enum RefreshSetting : std::uint8_t {
+  kPerBank = 1 << 0,
+  kDarp = 1 << 1,
+  kSarp = 1 << 2,
+  kElastic = 1 << 3,
 };
+
+struct RefreshPolicyCase {
+  char name[15];
+  std::uint8_t settings;  // RefreshSetting bits
+};
+static_assert(std::has_unique_object_representations_v<RefreshPolicyCase>);
+
+constexpr RefreshPolicyCase kRefreshPolicyCases[] = {
+    {"AllBank", 0},
+    {"PerBank", kPerBank},
+    {"PerBankElastic", kPerBank | kElastic},
+    {"Darp", kPerBank | kDarp},
+    {"DarpSarp", kPerBank | kDarp | kSarp},
+};
+
+void apply_case(const RefreshPolicyCase& c, memctrl::ControllerConfig& cfg) {
+  cfg.refresh_granularity = (c.settings & kPerBank) != 0
+                                ? memctrl::RefreshGranularity::kPerBank
+                                : memctrl::RefreshGranularity::kAllBank;
+  cfg.darp = (c.settings & kDarp) != 0;
+  cfg.sarp = (c.settings & kSarp) != 0;
+  cfg.elastic_refresh = (c.settings & kElastic) != 0;
+}
+
+std::string case_name(
+    const ::testing::TestParamInfo<RefreshPolicyCase>& info) {
+  return info.param.name;
+}
 
 class FastForwardRefreshPolicy
     : public ::testing::TestWithParam<RefreshPolicyCase> {};
@@ -97,10 +131,7 @@ TEST_P(FastForwardRefreshPolicy, BitIdenticalToPerCycleLoop) {
   for (const char* name : {"povray", "lbm"}) {
     const auto& b = trace::benchmark(name);
     SystemConfig cfg = base_config(EccPolicy::kNoEcc);
-    cfg.controller.refresh_granularity = GetParam().granularity;
-    cfg.controller.darp = GetParam().darp;
-    cfg.controller.sarp = GetParam().sarp;
-    cfg.controller.elastic_refresh = GetParam().elastic;
+    apply_case(GetParam(), cfg.controller);
     const RunResult on = run_once(b, cfg, true);
     const RunResult off = run_once(b, cfg, false);
     EXPECT_TRUE(same_simulated_result(on, off)) << name;
@@ -109,19 +140,7 @@ TEST_P(FastForwardRefreshPolicy, BitIdenticalToPerCycleLoop) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, FastForwardRefreshPolicy,
-    ::testing::Values(
-        RefreshPolicyCase{"AllBank", memctrl::RefreshGranularity::kAllBank,
-                          false, false, false},
-        RefreshPolicyCase{"PerBank", memctrl::RefreshGranularity::kPerBank,
-                          false, false, false},
-        RefreshPolicyCase{"PerBankElastic",
-                          memctrl::RefreshGranularity::kPerBank, false, false,
-                          true},
-        RefreshPolicyCase{"Darp", memctrl::RefreshGranularity::kPerBank, true,
-                          false, false},
-        RefreshPolicyCase{"DarpSarp", memctrl::RefreshGranularity::kPerBank,
-                          true, true, false}),
-    [](const auto& info) { return std::string(info.param.name); });
+    ::testing::ValuesIn(kRefreshPolicyCases), case_name);
 
 // Multi-channel x multi-rank geometry (docs/SCALING.md): the per-channel
 // fast-forward fold — each channel contributing its own refresh /
@@ -136,10 +155,7 @@ TEST_P(FastForwardGeometryRefreshPolicy, BitIdenticalAt2x2) {
     SystemConfig cfg = base_config(EccPolicy::kNoEcc);
     cfg.geometry.channels = 2;
     cfg.geometry.ranks = 2;
-    cfg.controller.refresh_granularity = GetParam().granularity;
-    cfg.controller.darp = GetParam().darp;
-    cfg.controller.sarp = GetParam().sarp;
-    cfg.controller.elastic_refresh = GetParam().elastic;
+    apply_case(GetParam(), cfg.controller);
     const RunResult on = run_once(b, cfg, true);
     const RunResult off = run_once(b, cfg, false);
     EXPECT_TRUE(same_simulated_result(on, off)) << name;
@@ -148,19 +164,7 @@ TEST_P(FastForwardGeometryRefreshPolicy, BitIdenticalAt2x2) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, FastForwardGeometryRefreshPolicy,
-    ::testing::Values(
-        RefreshPolicyCase{"AllBank", memctrl::RefreshGranularity::kAllBank,
-                          false, false, false},
-        RefreshPolicyCase{"PerBank", memctrl::RefreshGranularity::kPerBank,
-                          false, false, false},
-        RefreshPolicyCase{"PerBankElastic",
-                          memctrl::RefreshGranularity::kPerBank, false, false,
-                          true},
-        RefreshPolicyCase{"Darp", memctrl::RefreshGranularity::kPerBank, true,
-                          false, false},
-        RefreshPolicyCase{"DarpSarp", memctrl::RefreshGranularity::kPerBank,
-                          true, true, false}),
-    [](const auto& info) { return std::string(info.param.name); });
+    ::testing::ValuesIn(kRefreshPolicyCases), case_name);
 
 TEST(FastForward, GeometryInterleaveAndStreamsBitIdentical) {
   // Every interleave mode and a multi-stream contention mix at
@@ -305,10 +309,7 @@ TEST_P(ControllerNextEventProperty, NeverOvershoots) {
   const dram::Timing timing;
   dram::Device dev(geo, timing);
   memctrl::ControllerConfig cfg;
-  cfg.refresh_granularity = GetParam().granularity;
-  cfg.darp = GetParam().darp;
-  cfg.sarp = GetParam().sarp;
-  cfg.elastic_refresh = GetParam().elastic;
+  apply_case(GetParam(), cfg);
   memctrl::Controller ctl(dev, cfg);
   Rng rng(42);
 
@@ -358,19 +359,7 @@ TEST_P(ControllerNextEventProperty, NeverOvershoots) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, ControllerNextEventProperty,
-    ::testing::Values(
-        RefreshPolicyCase{"AllBank", memctrl::RefreshGranularity::kAllBank,
-                          false, false, false},
-        RefreshPolicyCase{"PerBank", memctrl::RefreshGranularity::kPerBank,
-                          false, false, false},
-        RefreshPolicyCase{"PerBankElastic",
-                          memctrl::RefreshGranularity::kPerBank, false, false,
-                          true},
-        RefreshPolicyCase{"Darp", memctrl::RefreshGranularity::kPerBank, true,
-                          false, false},
-        RefreshPolicyCase{"DarpSarp", memctrl::RefreshGranularity::kPerBank,
-                          true, true, false}),
-    [](const auto& info) { return std::string(info.param.name); });
+    ::testing::ValuesIn(kRefreshPolicyCases), case_name);
 
 TEST(FastForward, AdvanceGapMatchesPerCycleTicks) {
   // Two cores over identical trace streams and always-accepting memory
