@@ -231,6 +231,15 @@ std::vector<ThroughputRow> run_throughput(std::uint64_t seed) {
                     encode_lps(ref, datas)});
     rows.push_back({"bch_t6_decode_clean", decode_lps(vec, cws),
                     decode_lps(ref, cws)});
+    // Exactly w errors per line: the closed-form roots (w = 1, 2) and
+    // the log-domain Chien search (w >= 3), up to the capability.
+    for (const std::size_t w : {1, 2, 3, 6}) {
+      reliability::FaultInjector fi(seed * 7919 + 17 * w);
+      std::vector<BitVec> bad = cws;
+      for (BitVec& cw : bad) fi.inject_exact(cw, w);
+      rows.push_back({"bch_t6_decode_w" + std::to_string(w),
+                      decode_lps(vec, bad), decode_lps(ref, bad)});
+    }
   }
   {
     // LineCodec has no scalar twin; its lines/sec still lands in the

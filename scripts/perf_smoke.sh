@@ -3,7 +3,8 @@
 # 28-benchmark sweep with --fast-forward=on and =off at --jobs=1, takes
 # the best of N repeats of each, and writes a merged report with the
 # wall_mips speedup ratio. The committed snapshot lives at BENCH_perf.json
-# (regenerate with: scripts/perf_smoke.sh --out=BENCH_perf.json).
+# (regenerate with: scripts/perf_smoke.sh --out=BENCH_perf.json; keys of
+# an existing --out file that this script does not produce are kept).
 #
 # Numbers are host-dependent observability, never a correctness gate:
 # tier1.sh runs this non-gating (`|| true`) and ignores the ratio.
@@ -242,8 +243,16 @@ if fleet_json:
         "fleet_devices_per_sec": fleet["fleet_devices_per_sec"],
     }
 
+# Refresh only the keys this script produces: anything else already in
+# --out (e.g. the per-change compare tables in BENCH_perf.json) stays.
+try:
+    with open(out_path) as f:
+        merged = json.load(f)
+except FileNotFoundError:
+    merged = {}
+merged.update(report)
 with open(out_path, "w") as f:
-    json.dump(report, f, indent=2)
+    json.dump(merged, f, indent=2)
     f.write("\n")
 print(f"perf_smoke: ff=on {on['wall_seconds']:.3f}s, "
       f"ff=off {off['wall_seconds']:.3f}s, "

@@ -4,13 +4,13 @@
 #include <cassert>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace mecc::ecc {
 
 using galois::Elem;
 using galois::Gf2Poly;
-using galois::GfmPoly;
 
 namespace {
 
@@ -19,8 +19,14 @@ namespace {
 struct DecodeScratch {
   std::vector<Elem> syn_odd;
   std::vector<Elem> syn;
-  std::vector<Elem> chien_terms;
-  std::vector<Elem> chien_steps;
+  // Berlekamp-Massey polynomials, coefficient k at index k.
+  std::vector<Elem> lambda;
+  std::vector<Elem> prev;
+  std::vector<Elem> saved;
+  // Log-domain Chien terms: exponent of each nonzero lambda_c and the
+  // amount (c mod 2^m - 1) it drops per position.
+  std::vector<std::uint32_t> chien_exps;
+  std::vector<std::uint32_t> chien_steps;
   std::vector<std::size_t> error_positions;
 };
 
@@ -53,10 +59,24 @@ Bch::Bch(unsigned m, std::size_t t, std::size_t data_bits)
   n_ = k_ + p_;
 
   if (p_ <= 63) {
-    for (std::size_t j = 0; j <= p_; ++j) {
-      if (gen_.coeff(j)) gen_mask_ |= 1ull << j;
+    // Non-augmented CRC division with the register left-aligned: g(x)
+    // minus its x^p term sits in the top p bits, so every p takes the
+    // same 8-bit step.
+    std::uint64_t g = 0;
+    for (std::size_t j = 0; j < p_; ++j) {
+      if (gen_.coeff(j)) g |= 1ull << (64 - p_ + j);
+    }
+    for (unsigned v = 0; v < 256; ++v) {
+      std::uint64_t r = static_cast<std::uint64_t>(v) << 56;
+      for (int b = 0; b < 8; ++b) r = (r >> 63) != 0 ? (r << 1) ^ g : r << 1;
+      enc_table_[v] = r;
     }
   }
+
+  // z -> z^2 + z is GF(2)-linear and two-to-one (z and z + 1 collide),
+  // so each c it reaches has exactly two solutions.
+  quad_root_.assign(gf_.size(), 0);
+  for (Elem z = 2; z < gf_.size(); ++z) quad_root_[gf_.mul(z, z) ^ z] = z;
 
   // Syndrome byte tables. polypos maps external codeword bit positions
   // (data first) to polynomial coefficient positions (parity low).
@@ -92,18 +112,17 @@ BitVec Bch::encode(const BitVec& data) const {
   BitVec cw(n_);
   cw.splice(0, data);
   if (p_ <= 63) {
-    // Single-word LFSR division: stream the k + p coefficients of
-    // data(x) * x^p, highest first, through the register.
+    // Sarwate division of data(x) * x^p, highest-degree byte first. The
+    // top byte's pad bits are zero and leading zeros keep the register
+    // at zero, so any k takes this path.
+    const auto words = data.words();
     std::uint64_t rem = 0;
-    for (std::size_t i = k_; i-- > 0;) {
-      rem = (rem << 1) | static_cast<std::uint64_t>(data.get(i));
-      if ((rem >> p_) & 1u) rem ^= gen_mask_;
+    for (std::size_t byte = (k_ + 7) / 8; byte-- > 0;) {
+      const auto v = static_cast<unsigned>(
+          (words[byte >> 3] >> ((byte & 7) * 8)) & 0xff);
+      rem = (rem << 8) ^ enc_table_[(rem >> 56) ^ v];
     }
-    for (std::size_t i = 0; i < p_; ++i) {
-      rem <<= 1;
-      if ((rem >> p_) & 1u) rem ^= gen_mask_;
-    }
-    cw.splice(k_, BitVec::from_u64(rem, p_));
+    cw.splice(k_, BitVec::from_u64(rem >> (64 - p_), p_));
   } else {
     BitVec shifted(n_);
     shifted.splice(p_, data);
@@ -156,9 +175,14 @@ DecodeResult Bch::decode(const BitVec& codeword) const {
   }
 
   // Berlekamp-Massey: find the minimal LFSR (error-locator polynomial
-  // lambda) generating the syndrome sequence.
-  GfmPoly lambda(std::vector<Elem>{1});
-  GfmPoly prev(std::vector<Elem>{1});
+  // lambda) generating the syndrome sequence. Massey's invariant keeps
+  // deg(x^shift * prev) <= it + 1 - L <= 2t, so the updates stay inside
+  // the 2t + 1 coefficients.
+  const std::size_t len = 2 * t_ + 1;
+  sc.lambda.assign(len, 0);
+  sc.prev.assign(len, 0);
+  sc.lambda[0] = 1;
+  sc.prev[0] = 1;
   std::size_t L = 0;
   std::size_t shift = 1;
   Elem prev_disc = 1;
@@ -166,53 +190,94 @@ DecodeResult Bch::decode(const BitVec& codeword) const {
     // Discrepancy d = S[it+1] + sum_{i=1..L} lambda_i * S[it+1-i].
     Elem d = syn[it + 1];
     for (std::size_t i = 1; i <= L; ++i) {
-      d = galois::GaloisField::add(
-          d, gf_.mul(lambda.coeff(i), syn[it + 1 - i]));
+      d ^= gf_.mul(sc.lambda[i], syn[it + 1 - i]);
     }
     if (d == 0) {
       ++shift;
-    } else if (2 * L <= it) {
-      const GfmPoly tmp = lambda;
-      lambda = lambda.add(prev.scale(gf_, gf_.div(d, prev_disc)).shift(shift));
+      continue;
+    }
+    // lambda += (d / prev_disc) * x^shift * prev.
+    const bool grow = 2 * L <= it;
+    if (grow) sc.saved.assign(sc.lambda.begin(), sc.lambda.end());
+    const Elem scale = gf_.div(d, prev_disc);
+    for (std::size_t j = 0; j + shift < len; ++j) {
+      sc.lambda[j + shift] ^= gf_.mul(scale, sc.prev[j]);
+    }
+    if (grow) {
       L = it + 1 - L;
-      prev = tmp;
+      std::swap(sc.prev, sc.saved);
       prev_disc = d;
       shift = 1;
     } else {
-      lambda = lambda.add(prev.scale(gf_, gf_.div(d, prev_disc)).shift(shift));
       ++shift;
     }
   }
 
-  if (L > t_ || static_cast<std::size_t>(lambda.degree()) != L) {
+  std::size_t degree = len - 1;
+  while (sc.lambda[degree] == 0) --degree;  // lambda_0 == 1 stops it
+  if (L > t_ || degree != L) {
     res.status = DecodeStatus::kUncorrectable;
     return res;
   }
 
-  // Chien search: position i is in error iff lambda(alpha^-i) == 0.
-  // Only positions < n can be in error (roots beyond n would land in the
-  // shortened always-zero prefix), and lambda of degree L has at most L
-  // roots in the whole field — so scanning [0, n) and demanding exactly
-  // L roots is equivalent to the full-field scan, and the scan can stop
-  // as soon as the L-th root appears. Terms update incrementally:
-  // term_k(i+1) = term_k(i) * alpha^-k.
-  sc.chien_terms.assign(L + 1, 0);
-  sc.chien_steps.assign(L + 1, 1);
-  for (std::size_t c = 0; c <= L; ++c) {
-    sc.chien_terms[c] = lambda.coeff(c);
-    sc.chien_steps[c] = gf_.alpha_pow(
-        gf_.order() - static_cast<std::uint32_t>(c % gf_.order()));
-  }
+  // Position i is in error iff lambda(alpha^-i) == 0, i.e. X = alpha^i
+  // is a root of X^L * lambda(1/X). Only positions < n can be in error
+  // (roots beyond n would land in the shortened always-zero prefix), and
+  // lambda has at most L distinct roots in the whole field, so the line
+  // is correctable iff exactly L distinct roots fall in [0, n).
   sc.error_positions.clear();
-  for (std::size_t i = 0; i < n_; ++i) {
-    Elem sum = 0;
-    for (std::size_t c = 0; c <= L; ++c) sum ^= sc.chien_terms[c];
-    if (sum == 0) {
-      sc.error_positions.push_back(i);
-      if (sc.error_positions.size() == L) break;
+  if (L == 1) {
+    // X + lambda_1 = 0.
+    const std::size_t i = gf_.log(sc.lambda[1]);
+    if (i < n_) sc.error_positions.push_back(i);
+  } else if (L == 2) {
+    // X^2 + lambda_1 X + lambda_2 = 0; X = lambda_1 z turns it into
+    // z^2 + z = lambda_2 / lambda_1^2, whose roots are z and z + 1.
+    // lambda_1 == 0 would leave one double root (uncorrectable); for a
+    // binary code lambda_1 = S_1, which L = 2 needs nonzero, so the
+    // guard only keeps the division defined.
+    const Elem l1 = sc.lambda[1];
+    if (l1 != 0) {
+      const Elem z = quad_root_[gf_.div(sc.lambda[2], gf_.mul(l1, l1))];
+      if (z != 0) {
+        const Elem x = gf_.mul(l1, z);
+        std::size_t lo = gf_.log(x);
+        std::size_t hi = gf_.log(x ^ l1);
+        if (lo > hi) std::swap(lo, hi);
+        if (hi < n_) {
+          sc.error_positions.push_back(lo);
+          sc.error_positions.push_back(hi);
+        }
+      }
     }
+  } else {
+    // Log-domain Chien search: term c at position i is
+    // alpha^(log lambda_c - c*i), so each position subtracts c from the
+    // term's exponent with a wrap at the group order. The scan stops as
+    // soon as the L-th root appears.
+    const std::uint32_t order = gf_.order();
+    const auto antilog = gf_.antilog_table();
+    sc.chien_exps.clear();
+    sc.chien_steps.clear();
     for (std::size_t c = 1; c <= L; ++c) {
-      sc.chien_terms[c] = gf_.mul(sc.chien_terms[c], sc.chien_steps[c]);
+      if (sc.lambda[c] == 0) continue;
+      sc.chien_exps.push_back(gf_.log(sc.lambda[c]));
+      sc.chien_steps.push_back(static_cast<std::uint32_t>(c % order));
+    }
+    std::uint32_t* exps = sc.chien_exps.data();
+    const std::uint32_t* steps = sc.chien_steps.data();
+    const std::size_t terms = sc.chien_exps.size();
+    for (std::size_t i = 0; i < n_; ++i) {
+      Elem sum = 1;  // lambda_0
+      for (std::size_t c = 0; c < terms; ++c) {
+        sum ^= antilog[exps[c]];
+        exps[c] = exps[c] >= steps[c] ? exps[c] - steps[c]
+                                      : exps[c] + order - steps[c];
+      }
+      if (sum == 0) {
+        sc.error_positions.push_back(i);
+        if (sc.error_positions.size() == L) break;
+      }
     }
   }
   if (sc.error_positions.size() != L) {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace mecc::galois {
@@ -31,6 +32,12 @@ class GaloisField {
   /// alpha^i for i in [0, order).
   [[nodiscard]] Elem alpha_pow(std::uint32_t i) const {
     return antilog_[i % order()];
+  }
+  /// The whole antilog table: entry i is alpha^i for i in [0, order).
+  /// Lets log-domain loops (the BCH Chien search) load alpha^e directly
+  /// with no multiply or modulo.
+  [[nodiscard]] std::span<const Elem> antilog_table() const {
+    return antilog_;
   }
   /// Discrete log base alpha; undefined for x == 0 (asserted).
   [[nodiscard]] std::uint32_t log(Elem x) const;

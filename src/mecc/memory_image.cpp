@@ -2,13 +2,8 @@
 
 namespace mecc::morph {
 
-MemoryImage::MemoryImage(std::size_t num_lines) {
-  lines_.reserve(num_lines);
-  const BitVec zero(kDataBits);
-  for (std::size_t i = 0; i < num_lines; ++i) {
-    lines_.push_back(codec_.store(zero, LineMode::kStrong));
-  }
-}
+MemoryImage::MemoryImage(std::size_t num_lines)
+    : lines_(num_lines, codec_.store(BitVec(kDataBits), LineMode::kStrong)) {}
 
 void MemoryImage::write_line(std::size_t index, const BitVec& data,
                              LineMode mode) {

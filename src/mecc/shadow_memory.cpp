@@ -24,7 +24,7 @@ ShadowMemory::ShadowMemory(const ShadowConfig& config)
       injector_(config.seed) {
   if (config_.sample_stride == 0) config_.sample_stride = 1;
   slots_.reserve(config_.capacity_lines);
-  slot_addr_.reserve(config_.capacity_lines);
+  slot_pattern_.reserve(config_.capacity_lines);
 }
 
 BitVec ShadowMemory::expected_data(Address line_addr) const {
@@ -46,9 +46,9 @@ void ShadowMemory::on_write(Address line_addr, LineMode mode) {
   if (it == slots_.end()) {
     if (slots_.size() >= config_.capacity_lines) return;
     it = slots_.emplace(line_addr, slots_.size()).first;
-    slot_addr_.push_back(line_addr);
+    slot_pattern_.push_back(expected_data(line_addr));
   }
-  image_.write_line(it->second, expected_data(line_addr), mode);
+  image_.write_line(it->second, slot_pattern_[it->second], mode);
   stats_.add("shadow_writes");
 }
 
@@ -92,7 +92,7 @@ ShadowReadOutcome ShadowMemory::on_read(Address line_addr, bool downgrade) {
                          "bits", r.corrected_bits);
       }
     }
-    if (r.data != expected_data(line_addr)) {
+    if (r.data != slot_pattern_[slot]) {
       o.silent_corruption = true;
       stats_.add("silent");
       if (tracer_ != nullptr) {
@@ -135,7 +135,7 @@ ShadowReadOutcome ShadowMemory::on_read(Address line_addr, bool downgrade) {
                        "bits", o.corrected_bits);
     }
   }
-  if (*data != expected_data(line_addr)) {
+  if (*data != slot_pattern_[slot]) {
     o.silent_corruption = true;
     stats_.add("silent");
     if (tracer_ != nullptr) {
@@ -167,7 +167,7 @@ ScrubReport ShadowMemory::scrub() {
 
 std::uint64_t ShadowMemory::force_upgrade() {
   std::uint64_t restored = 0;
-  for (std::size_t slot = 0; slot < slot_addr_.size(); ++slot) {
+  for (std::size_t slot = 0; slot < slot_pattern_.size(); ++slot) {
     const std::optional<BitVec> data =
         image_.read_line(slot, /*downgrade=*/false);
     if (data.has_value()) {
@@ -176,8 +176,7 @@ std::uint64_t ShadowMemory::force_upgrade() {
       // Uncorrectable: reconstruct from the known-good pattern, modeling
       // a clean-copy refetch (page-cache reload / remap) after the DUE
       // was reported upstream.
-      image_.write_line(slot, expected_data(slot_addr_[slot]),
-                        LineMode::kStrong);
+      image_.write_line(slot, slot_pattern_[slot], LineMode::kStrong);
       ++restored;
     }
   }

@@ -6,7 +6,10 @@
 // through the real LineCodec. Each shadowed line stores a deterministic
 // per-address data pattern, which lets the shadow classify every decode
 // as clean / corrected (CE) / detected-uncorrectable (DUE) / *silent*
-// corruption (decode claimed success but returned wrong data).
+// corruption (decode claimed success but returned wrong data). Each slot
+// caches its pattern when it is allocated, so shadowed reads, writes,
+// retries and forced upgrades compare and re-store it without
+// regenerating it.
 //
 // Retention errors injected between accesses (idle periods at a slowed
 // refresh) are persistent stored-bit flips; an optional transient read
@@ -64,8 +67,9 @@ class ShadowMemory {
   }
 
   /// A write to `line_addr` with the given protection mode. Allocates a
-  /// slot on first touch (while capacity lasts) and stores the
-  /// deterministic per-address pattern through the real codec.
+  /// slot on first touch (while capacity lasts), caching the
+  /// deterministic per-address pattern, and stores that pattern through
+  /// the real codec.
   void on_write(Address line_addr, LineMode mode);
 
   /// A read of `line_addr`: decodes the stored word (plus transient
@@ -103,7 +107,8 @@ class ShadowMemory {
   /// (shadow_reads, shadow_writes, ce, ce_bits, due, silent, ...).
   void export_stats(StatSet& out) const { out.merge("", stats_); }
 
-  /// The deterministic data pattern `line_addr` is expected to hold.
+  /// The deterministic data pattern `line_addr` is expected to hold (a
+  /// pure function of the seed and the address; slots cache it).
   [[nodiscard]] BitVec expected_data(Address line_addr) const;
 
   /// Attaches the observability tracer (docs/OBSERVABILITY.md):
@@ -119,7 +124,9 @@ class ShadowMemory {
   LineCodec codec_;  // scratch decodes for transient-noise reads
   MemoryImage image_;
   std::unordered_map<Address, std::size_t> slots_;
-  std::vector<Address> slot_addr_;  // slot -> address (scrub accounting)
+  // slot -> expected_data(its address), computed when the slot is
+  // allocated (64 B of data per slot).
+  std::vector<BitVec> slot_pattern_;
   reliability::FaultInjector injector_;
   StatSet stats_;
   tracing::Tracer* tracer_ = nullptr;

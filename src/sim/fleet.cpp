@@ -143,17 +143,6 @@ constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
   return true;
 }
 
-[[nodiscard]] bool scan_double(const std::string& doc, const std::string& key,
-                               double* out) {
-  std::string token;
-  if (!scan_number_token(doc, key, &token)) return false;
-  char* endp = nullptr;
-  const double v = std::strtod(token.c_str(), &endp);
-  if (endp == token.c_str() || *endp != '\0') return false;
-  *out = v;
-  return true;
-}
-
 /// Extracts the balanced {...} or [...] slice of `"key":` (inclusive of
 /// the delimiters). Depth-counts both brace kinds; valid because no
 /// string value this module writes contains one.

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
+#include "ecc/scalar_reference.h"
+#include "galois/gf.h"
+#include "galois/gfm_poly.h"
 
 namespace mecc::ecc {
 namespace {
@@ -160,6 +164,146 @@ TEST(Bch, BurstOfAdjacentErrorsWithinT) {
   EXPECT_EQ(r.status, DecodeStatus::kCorrected);
   EXPECT_EQ(r.corrected_bits, 6u);
   EXPECT_EQ(r.data, d);
+}
+
+TEST(Bch, CorrectsEveryWeightOneAndTwoPattern) {
+  // Exhaustive over the line code: all 572 single-bit and all 163 306
+  // two-bit error patterns take the closed-form L = 1 and L = 2 root
+  // paths and must come back corrected to the exact data.
+  Rng rng(12);
+  const Bch code(10, 6, 512);
+  const BitVec d = random_data(512, rng);
+  const BitVec cw = code.encode(d);
+  const std::size_t n = cw.size();
+  std::size_t failures = 0;
+  for (std::size_t a = 0; a < n; ++a) {
+    BitVec one = cw;
+    one.flip(a);
+    const DecodeResult r1 = code.decode(one);
+    failures += r1.status != DecodeStatus::kCorrected ||
+                r1.corrected_bits != 1 || r1.data != d;
+    for (std::size_t b = a + 1; b < n; ++b) {
+      BitVec two = one;
+      two.flip(b);
+      const DecodeResult r2 = code.decode(two);
+      const bool ok = r2.status == DecodeStatus::kCorrected &&
+                      r2.corrected_bits == 2 && r2.data == d;
+      EXPECT_TRUE(ok) << "errors at " << a << " and " << b;
+      failures += !ok;
+      if (failures > 10) FAIL() << "stopping after 10 failures";
+    }
+  }
+  EXPECT_EQ(failures, 0u);
+}
+
+/// Which root-finding branch Bch::decode takes on a word, recomputed
+/// independently: syndromes by direct evaluation, Berlekamp-Massey on
+/// GfmPoly, and the locator evaluated at every alpha^-i of the field.
+struct LocatorCensus {
+  std::size_t L = 0;
+  bool degree_matches = false;  // deg(lambda) == L
+  std::size_t roots = 0;        // distinct roots in the whole field
+  std::size_t roots_below_n = 0;
+};
+
+LocatorCensus census(const galois::GaloisField& gf, std::size_t t,
+                     std::size_t k, std::size_t p, const BitVec& word) {
+  const std::uint32_t order = gf.order();
+  std::vector<galois::Elem> syn(2 * t + 1, 0);
+  for (std::size_t cwpos = 0; cwpos < word.size(); ++cwpos) {
+    if (!word.get(cwpos)) continue;
+    const std::size_t pos = cwpos < k ? p + cwpos : cwpos - k;
+    for (std::size_t j = 1; j <= 2 * t; ++j) {
+      syn[j] ^= gf.alpha_pow(static_cast<std::uint32_t>((pos * j) % order));
+    }
+  }
+  galois::GfmPoly lambda(std::vector<galois::Elem>{1});
+  galois::GfmPoly prev(std::vector<galois::Elem>{1});
+  std::size_t L = 0;
+  std::size_t shift = 1;
+  galois::Elem prev_disc = 1;
+  for (std::size_t it = 0; it < 2 * t; ++it) {
+    galois::Elem d = syn[it + 1];
+    for (std::size_t i = 1; i <= L; ++i) {
+      d ^= gf.mul(lambda.coeff(i), syn[it + 1 - i]);
+    }
+    if (d == 0) {
+      ++shift;
+      continue;
+    }
+    const galois::GfmPoly next =
+        lambda.add(prev.scale(gf, gf.div(d, prev_disc)).shift(shift));
+    if (2 * L <= it) {
+      L = it + 1 - L;
+      prev = lambda;
+      prev_disc = d;
+      shift = 1;
+    } else {
+      ++shift;
+    }
+    lambda = next;
+  }
+  LocatorCensus c;
+  c.L = L;
+  c.degree_matches = static_cast<std::size_t>(lambda.degree()) == L;
+  for (std::uint32_t i = 0; i < order; ++i) {
+    if (lambda.eval(gf, gf.alpha_pow((order - i) % order)) == 0) {
+      ++c.roots;
+      c.roots_below_n += i < word.size();
+    }
+  }
+  return c;
+}
+
+TEST(Bch, BeyondCapabilityMatchesScalarOnEveryRootBranch) {
+  // t+1..t+3 random errors drive the locator into the branches that
+  // must report kUncorrectable: a degree-2 locator with no roots in the
+  // field, one with a root in the shortened prefix (>= n), and the
+  // log-domain Chien search for L >= 3. Every word must decode exactly
+  // as the scalar reference does. A degree-2 locator never has a double
+  // root: lambda_1 = S_1 for binary codes, and L = 2 needs S_1 != 0.
+  for (const std::size_t t : {std::size_t{2}, std::size_t{3}}) {
+    const Bch code(10, t, 512);
+    const reference::ScalarBch ref(10, t, 512);
+    const galois::GaloisField gf(10);
+    Rng rng(0xB0075 + t);
+    std::size_t no_roots = 0;
+    std::size_t root_in_prefix = 0;
+    std::size_t double_root = 0;
+    std::size_t chien = 0;
+    for (std::size_t weight = t + 1; weight <= t + 3; ++weight) {
+      for (int trial = 0; trial < 300; ++trial) {
+        BitVec bad = code.encode(random_data(512, rng));
+        bad = corrupt(bad, weight, rng);
+        const DecodeResult got = code.decode(bad);
+        const DecodeResult want = ref.decode(bad);
+        ASSERT_EQ(got.status, want.status)
+            << "t=" << t << " weight=" << weight << " trial " << trial;
+        ASSERT_EQ(got.corrected_bits, want.corrected_bits);
+        ASSERT_EQ(got.data, want.data);
+
+        const LocatorCensus c =
+            census(gf, t, 512, code.parity_bits(), bad);
+        if (c.L > t || !c.degree_matches) continue;
+        if (c.L >= 3) ++chien;
+        if (c.L != 2) continue;
+        const bool in_prefix = c.roots == 2 && c.roots_below_n < 2;
+        no_roots += c.roots == 0;
+        double_root += c.roots == 1;
+        root_in_prefix += in_prefix;
+        if (c.roots == 0 || in_prefix) {
+          EXPECT_EQ(got.status, DecodeStatus::kUncorrectable);
+        }
+      }
+    }
+    EXPECT_EQ(double_root, 0u) << "t=" << t;
+    if (t == 2) {
+      EXPECT_GT(no_roots, 0u);
+      EXPECT_GT(root_in_prefix, 0u);
+    } else {
+      EXPECT_GT(chien, 0u);
+    }
+  }
 }
 
 TEST(Bch, AllZeroDataIsACodeword) {
