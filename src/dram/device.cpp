@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cassert>
+#include <stdexcept>
 #include <string>
 
 namespace mecc::dram {
@@ -59,8 +60,14 @@ Device::Device(const Geometry& geo, const Timing& timing)
     : geo_(geo), timing_(timing) {
   // The flattened bank array is addressed through 32-bit open/refresh
   // masks throughout the controller; the rank power-down mask likewise.
-  assert(geo_.ranks >= 1 && geo_.banks >= 1);
-  assert(geo_.ranks * geo_.banks <= 32);
+  // Checked in every build: a wider geometry would shift past bit 31.
+  if (geo_.ranks == 0 || geo_.banks == 0 ||
+      static_cast<std::uint64_t>(geo_.ranks) * geo_.banks > 32) {
+    throw std::invalid_argument(
+        "dram::Device: geometry needs 1 <= ranks, 1 <= banks and "
+        "ranks * banks <= 32, got " + std::to_string(geo_.ranks) +
+        " ranks x " + std::to_string(geo_.banks) + " banks");
+  }
   const std::uint32_t total = total_banks();
   banks_.reserve(total);
   for (std::uint32_t i = 0; i < total; ++i) banks_.emplace_back(timing_);
@@ -160,7 +167,8 @@ PowerState Device::compute_state() const {
   // Channel-level view for the trace span: powered-down only when every
   // rank is (at ranks=1 this is exactly the rank's own state).
   if (in_self_refresh_) return PowerState::kSelfRefresh;
-  const std::uint32_t all = (1u << geo_.ranks) - 1u;
+  const auto all =
+      static_cast<std::uint32_t>((std::uint64_t{1} << geo_.ranks) - 1u);
   if (pd_mask_ == all) {
     return all_banks_precharged() ? PowerState::kPrechargePowerDown
                                   : PowerState::kActivePowerDown;

@@ -83,6 +83,9 @@ struct ActivityCounters {
 
 class Device {
  public:
+  /// Throws std::invalid_argument unless 1 <= ranks, 1 <= banks and
+  /// ranks * banks <= 32: the open-row, power-down and controller bank
+  /// masks hold one bit per global bank in a 32-bit word.
   Device(const Geometry& geo, const Timing& timing);
 
   [[nodiscard]] const Geometry& geometry() const { return geo_; }
@@ -159,6 +162,12 @@ class Device {
   }
   /// Bit r set iff rank r is powered down.
   [[nodiscard]] std::uint32_t power_down_mask() const { return pd_mask_; }
+  /// Bit i set for every global bank i of `rank` (the rank's slice of
+  /// open_banks()). Computed in 64 bits: a 32-bank rank fills the word.
+  [[nodiscard]] std::uint32_t rank_bank_mask(std::uint32_t rank) const {
+    return static_cast<std::uint32_t>(((std::uint64_t{1} << geo_.banks) - 1u)
+                                      << (rank * geo_.banks));
+  }
 
   /// Self-refresh entry: whole-channel (every rank together; idle-mode
   /// semantics). All banks must be precharged, no rank powered down.
@@ -252,8 +261,7 @@ class Device {
   [[nodiscard]] PowerState compute_state() const;
   [[nodiscard]] PowerState compute_rank_state(std::uint32_t rank) const;
   [[nodiscard]] std::uint32_t rank_open_mask(std::uint32_t rank) const {
-    return (open_mask_ >> (rank * geo_.banks)) &
-           ((1u << geo_.banks) - 1u);
+    return open_mask_ & rank_bank_mask(rank);
   }
 
   Geometry geo_;

@@ -251,11 +251,10 @@ void Controller::manage_refresh(dram::MemCycle now) {
     if (rank_refresh_debt_[r] == 0) refresh_urgent_mask_ &= ~(1u << r);
     return;
   }
-  const std::uint32_t banks = device_.geometry().banks;
   const std::uint32_t rank_open =
-      (device_.open_banks() >> (r * banks)) & ((1u << banks) - 1u);
+      device_.open_banks() & device_.rank_bank_mask(r);
   for (std::uint32_t m = rank_open; m != 0; m &= m - 1) {
-    const std::uint32_t b = r * banks + lowest_bank(m);
+    const std::uint32_t b = lowest_bank(m);
     if (device_.can_precharge(b, now)) {
       device_.precharge(b, now);
       clear_open_row_demand(b);
@@ -273,14 +272,25 @@ int Controller::pull_in_candidate(dram::MemCycle now) const {
   const dram::MemCycle horizon =
       now + static_cast<dram::MemCycle>(config_.max_postponed_refreshes) *
                 refresh_interval();
-  const std::uint32_t banks = device_.total_banks();
-  for (std::uint32_t i = 0; i < banks; ++i) {
-    const std::uint32_t b = (refresh_rr_ + i) % banks;
-    if (device_.rank_powered_down(device_.rank_of(b))) continue;  // asleep
-    if (bank_queued_[b] != 0) continue;        // demand wants this bank
-    if (bank_next_refresh_[b] > horizon) continue;  // budget exhausted
-    if (!device_.can_refresh_bank(b, now)) continue;
-    return static_cast<int>(b);
+  // Banks with no queued demand, minus those of powered-down ranks,
+  // walked in round-robin order from refresh_rr_: the bits at or above
+  // the cursor first, then the ones below it — the same first match as
+  // a modular scan (refresh_rr_ + i) % banks.
+  std::uint32_t idle = static_cast<std::uint32_t>(
+                           (std::uint64_t{1} << device_.total_banks()) - 1u) &
+                       ~queued_mask_;
+  for (std::uint32_t pd = device_.power_down_mask(); pd != 0; pd &= pd - 1) {
+    idle &= ~device_.rank_bank_mask(
+        static_cast<std::uint32_t>(std::countr_zero(pd)));
+  }
+  const std::uint32_t from_rr = idle & (~0u << refresh_rr_);
+  for (const std::uint32_t part : {from_rr, idle & ~from_rr}) {
+    for (std::uint32_t m = part; m != 0; m &= m - 1) {
+      const std::uint32_t b = lowest_bank(m);
+      if (bank_next_refresh_[b] > horizon) continue;  // budget exhausted
+      if (!device_.can_refresh_bank(b, now)) continue;
+      return static_cast<int>(b);
+    }
   }
   return -1;
 }
@@ -292,10 +302,9 @@ int Controller::pull_in_candidate_rank(std::uint32_t rank,
   const dram::MemCycle horizon =
       now + static_cast<dram::MemCycle>(config_.max_postponed_refreshes) *
                 refresh_interval();
-  const std::uint32_t banks = device_.geometry().banks;
-  for (std::uint32_t i = 0; i < banks; ++i) {
-    const std::uint32_t b = rank * banks + i;
-    if (bank_queued_[b] != 0) continue;
+  for (std::uint32_t m = device_.rank_bank_mask(rank) & ~queued_mask_; m != 0;
+       m &= m - 1) {
+    const std::uint32_t b = lowest_bank(m);
     if (bank_next_refresh_[b] > horizon) continue;
     if (!device_.can_refresh_bank(b, now)) continue;
     return static_cast<int>(b);
@@ -521,7 +530,6 @@ void Controller::manage_power_down(dram::MemCycle now, bool did_work) {
   // idle ranks walk the entry ladder independently — other ranks'
   // traffic no longer keeps an idle rank out of power-down.
   const std::uint32_t ranks = device_.geometry().ranks;
-  const std::uint32_t banks = device_.geometry().banks;
   const bool per_bank =
       config_.refresh_granularity == RefreshGranularity::kPerBank;
   for (std::uint32_t r = 0; r < ranks; ++r) {
@@ -543,10 +551,9 @@ void Controller::manage_power_down(dram::MemCycle now, bool did_work) {
     }
     // Aggressive power-down: close the rank's open rows first so it
     // lands in the deeper precharge power-down state.
-    const std::uint32_t open =
-        (device_.open_banks() >> (r * banks)) & ((1u << banks) - 1u);
+    const std::uint32_t open = device_.open_banks() & device_.rank_bank_mask(r);
     if (open != 0) {
-      const std::uint32_t b = r * banks + lowest_bank(open);
+      const std::uint32_t b = lowest_bank(open);
       if (device_.can_precharge(b, now)) {
         device_.precharge(b, now);
         clear_open_row_demand(b);
@@ -733,20 +740,38 @@ dram::MemCycle Controller::next_event(dram::MemCycle now) const {
     e = std::min(e, next_refresh_);  // earliest per-bank accrual boundary
     if (config_.darp && total_refresh_debt_ == 0 &&
         !device_.in_self_refresh()) {
-      // Pull-in eligibility: idle bank b enters the pull-in horizon at
-      // due_b - cap*interval; from then on the pass may act any cycle
-      // (device acceptance can only delay it, so this stays a valid
-      // conservative bound). Banks of powered-down ranks are skipped by
-      // the pull-in pass until demand or debt wakes the rank, both of
-      // which are bounded elsewhere.
+      // Pull-in eligibility: idle bank b becomes a candidate once it is
+      // inside the pull-in horizon (due_b - cap*interval) *and*
+      // Device::can_refresh_bank can hold for it, i.e. past tRP
+      // (ready_act), past a running REFpb (ref_until) and past its
+      // rank's wake-up (tXP). A bank whose open row blocks REFpb (any
+      // open row without SARP, one in the refreshing subarray with it)
+      // is left out: the PRE that unblocks it is an event of its own,
+      // after which the bound is recomputed. Banks of powered-down ranks
+      // are skipped by the pull-in pass until demand or debt wakes the
+      // rank, both of which are bounded elsewhere.
       const dram::MemCycle span =
           static_cast<dram::MemCycle>(config_.max_postponed_refreshes) *
           refresh_interval();
-      for (std::uint32_t b = 0; b < total; ++b) {
-        if (bank_queued_[b] != 0) continue;
-        if (device_.rank_powered_down(device_.rank_of(b))) continue;
-        const dram::MemCycle due = bank_next_refresh_[b];
-        e = std::min(e, due > now + span ? due - span : now + 1);
+      for (std::uint32_t r = 0; r < device_.geometry().ranks; ++r) {
+        if (device_.rank_powered_down(r)) continue;
+        const dram::MemCycle awake = device_.wakeup_ready(r);
+        for (std::uint32_t m = device_.rank_bank_mask(r) & ~queued_mask_;
+             m != 0; m &= m - 1) {
+          const std::uint32_t b = lowest_bank(m);
+          const dram::Bank& bank = device_.bank(b);
+          dram::MemCycle ready = std::max(bank.ref_until(), awake);
+          if (!bank.row_open()) {
+            ready = std::max(ready, bank.ready_act());
+          } else if (!device_.sarp_overlap() ||
+                     device_.refresh_subarray(b) ==
+                         device_.subarray_of_row(
+                             static_cast<std::uint32_t>(bank.open_row()))) {
+            continue;  // the open row blocks REFpb until a PRE
+          }
+          const dram::MemCycle due = bank_next_refresh_[b];
+          e = std::min(e, std::max(ready, due > span ? due - span : 0));
+        }
       }
     }
   } else if (config_.refresh_enabled) {
@@ -764,7 +789,6 @@ dram::MemCycle Controller::next_event(dram::MemCycle now) const {
   }
   const bool per_bank =
       config_.refresh_granularity == RefreshGranularity::kPerBank;
-  const std::uint32_t banks = device_.geometry().banks;
   for (std::uint32_t r = 0; r < device_.geometry().ranks; ++r) {
     if (rank_queued_[r] != 0) {
       if (device_.rank_powered_down(r)) return now + 1;  // tick wakes it
@@ -773,13 +797,23 @@ dram::MemCycle Controller::next_event(dram::MemCycle now) const {
     if (device_.rank_powered_down(r) || device_.in_self_refresh()) continue;
     // Idle-rank machinery: close the rank's open rows, then enter
     // power-down (other ranks may be serving demand meanwhile).
-    const std::uint32_t open =
-        (device_.open_banks() >> (r * banks)) & ((1u << banks) - 1u);
-    for (std::uint32_t m = open; m != 0; m &= m - 1) {
-      const dram::Bank& bank = device_.bank(r * banks + lowest_bank(m));
-      e = std::min(e, std::max(bank.ready_pre(), device_.wakeup_ready(r)));
-    }
-    if (open == 0) {
+    const std::uint32_t open = device_.open_banks() & device_.rank_bank_mask(r);
+    const dram::MemCycle awake = device_.wakeup_ready(r);
+    if (open != 0 && config_.page_policy == PagePolicy::kClosed) {
+      // try_close_unneeded_row may close any of the rank's rows.
+      for (std::uint32_t m = open; m != 0; m &= m - 1) {
+        const dram::Bank& bank = device_.bank(lowest_bank(m));
+        e = std::min(e, std::max(bank.ready_pre(), awake));
+      }
+    } else if (open != 0) {
+      // Open page: only manage_power_down closes an idle rank's rows —
+      // the lowest open bank first, once the rank has idled for the
+      // power-down threshold.
+      const dram::Bank& bank = device_.bank(lowest_bank(open));
+      e = std::min(e, std::max({bank.ready_pre(), awake,
+                                last_rank_activity_[r] +
+                                    config_.power_down_idle_threshold}));
+    } else {
       const dram::MemCycle entry =
           std::max(now + 1,
                    last_rank_activity_[r] + config_.power_down_idle_threshold);

@@ -107,6 +107,17 @@ class Controller {
     return e;
   }
 
+  /// The channel's wake-up time: min(next_event(now), the earliest
+  /// in-flight completion, but no earlier than now + 1) — the first
+  /// memory cycle at which tick() or collect_completions() could act.
+  /// Every tick strictly before it is a state no-op until the next
+  /// external input (an enqueue or a refresh-schedule change).
+  [[nodiscard]] dram::MemCycle next_wake(dram::MemCycle now) const {
+    const dram::MemCycle e = next_event(now);
+    const dram::MemCycle done = next_completion_ready();
+    return done == kNoMemEvent ? e : std::min(e, std::max(done, now + 1));
+  }
+
   /// Bulk-applies the only per-tick side effect of `n` skipped no-op
   /// ticks: the queue-depth occupancy samples (queue sizes cannot change
   /// during a skip, so all n samples equal the current depths).
@@ -239,7 +250,8 @@ class Controller {
   /// Bank a DARP pull-in could refresh right now (-1 if none): no
   /// outstanding debt anywhere, the bank has no queued demand, its next
   /// due time is within max_postponed_refreshes periods, its rank is
-  /// awake, and the device accepts a REFpb to it.
+  /// awake, and the device accepts a REFpb to it. Banks are tried in
+  /// round-robin order from refresh_rr_.
   [[nodiscard]] int pull_in_candidate(dram::MemCycle now) const;
   /// Same, restricted to `rank`'s banks (per-rank power-down decisions).
   [[nodiscard]] int pull_in_candidate_rank(std::uint32_t rank,
@@ -288,7 +300,7 @@ class Controller {
   // (clear_open_row_demand). Reads are counted separately because their
   // issue bound differs from writes' (tWTR after a write burst).
   void index_insert(const MemRequest& r) {
-    ++bank_queued_[r.bank];
+    if (bank_queued_[r.bank]++ == 0) queued_mask_ |= 1u << r.bank;
     ++rank_queued_[device_.rank_of(r.bank)];
     const dram::Bank& b = device_.bank(r.bank);
     if (b.open_row() == static_cast<std::int64_t>(r.row)) {
@@ -299,7 +311,7 @@ class Controller {
     if (r.type == ReqType::kWrite) write_lines_.push_back(r.line_addr);
   }
   void index_erase(const MemRequest& r) {
-    --bank_queued_[r.bank];
+    if (--bank_queued_[r.bank] == 0) queued_mask_ &= ~(1u << r.bank);
     --rank_queued_[device_.rank_of(r.bank)];
     const dram::Bank& b = device_.bank(r.bank);
     if (b.open_row() == static_cast<std::int64_t>(r.row)) {
@@ -352,6 +364,7 @@ class Controller {
   std::vector<Address> write_lines_;
   // Per-(global-)bank / per-rank demand counters.
   std::vector<std::uint32_t> bank_queued_;           // queued reqs per bank
+  std::uint32_t queued_mask_ = 0;  // bit per bank: bank_queued_ != 0
   std::vector<std::uint32_t> rank_queued_;           // ...summed per rank
   std::vector<std::uint32_t> open_row_demand_;       // ...targeting open row
   std::vector<std::uint32_t> open_row_demand_reads_; // ...that are reads

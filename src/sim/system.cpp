@@ -446,22 +446,27 @@ bool System::try_channel_span() {
   // Execute memory ticks (mem_cur, t_end) concurrently, one task per
   // channel. Inside the span no completion becomes ready (t_end is a
   // lower bound on all of them), so collect_completions stays unneeded
-  // and each channel's state is private to its task.
+  // and each channel's state is private to its task (its work counts
+  // too, folded into work_ after the join).
   const dram::MemCycle last = t_end - 1;  // last mem tick of the span
-  for (auto& chp : channels_) {
-    Channel* ch = chp.get();
-    channel_pool_->submit([ch, mem_cur, last]() {
+  std::vector<WorkCounters> span_work(channels_.size());
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    Channel* ch = channels_[i].get();
+    WorkCounters* work = &span_work[i];
+    channel_pool_->submit([ch, work, mem_cur, last]() {
       memctrl::Controller& ctrl = ch->controller;
       dram::MemCycle m = mem_cur;
       while (m < last) {
         ++m;
         ctrl.tick(m);
+        ++work->controller_ticks;
         if (m >= last) break;
         // Per-channel event-driven skip, same contract as the serial
-        // fast-forward: next_event is conservative and skip_ticks
+        // fast-forward: the wake is conservative and skip_ticks
         // bulk-applies the only per-tick side effect.
-        dram::MemCycle nxt = ctrl.next_event(m);
-        if (nxt == memctrl::kNoMemEvent || nxt > last) nxt = last;
+        dram::MemCycle nxt = ctrl.next_wake(m);
+        ++work->wake_evaluations;
+        if (nxt > last) nxt = last;  // covers kNoMemEvent
         if (nxt > m + 1) {
           ctrl.skip_ticks(nxt - 1 - m);
           m = nxt - 1;
@@ -470,6 +475,10 @@ bool System::try_channel_span() {
     });
   }
   channel_pool_->wait_idle();
+  for (const WorkCounters& w : span_work) {
+    work_.controller_ticks += w.controller_ticks;
+    work_.wake_evaluations += w.wake_evaluations;
+  }
 
   // Land on the last CPU cycle before mem tick t_end: the serial loop's
   // next iteration executes exactly cycle t_end * 8, where the first
@@ -478,7 +487,7 @@ bool System::try_channel_span() {
       static_cast<Cycle>(t_end) * kCpuCyclesPerMemCycle - 1;
   for (auto& c : cores_) c->skip_stalled(new_now - cur);
   now_ = new_now;
-  invalidate_ff_bounds();  // idle channels' refreshes may have fired in-span
+  invalidate_ff_bounds();  // every channel ticked inside the span
   return true;
 }
 
@@ -537,35 +546,18 @@ void System::fast_forward_active(InstCount inst_boundary) {
     limit = std::min(limit, engine_->next_event(cur));
     if (limit <= cur + 1) return;
   }
-  // Single pass per channel: completion bound, then the next_event bound.
-  // A channel with a valid cached bound has no demand at all (the cache
-  // condition below), so its completion query is skipped outright — the
-  // whole fold is O(busy channels), not O(channels).
+  // Each channel's cached wake-up time; only a channel whose wake was
+  // invalidated since its last tick evaluates a fresh one. A valid wake
+  // always lies beyond mem_cur: the channel ticks, and recomputes it,
+  // once execution reaches it.
   for (std::size_t i = 0; i < channels_.size(); ++i) {
-    const memctrl::Controller& ctrl = channels_[i]->controller;
-    FfBound& cb = ff_bounds_[i];
-    dram::MemCycle mem_event;
-    if (cb.valid &&
-        (cb.value == memctrl::kNoMemEvent || mem_cur < cb.value)) {
-      mem_event = cb.value;
-    } else {
-      const dram::MemCycle done = ctrl.next_completion_ready();
-      if (done != memctrl::kNoMemEvent) {
-        limit = std::min(limit,
-                         std::max(done, mem_cur + 1) * kCpuCyclesPerMemCycle);
-        if (limit <= cur + 1) return;
-      }
-      mem_event = ctrl.next_event(mem_cur);
-      // Cacheable only for a channel with no demand at all: then ticks
-      // strictly before the bound are state no-ops (the fast-forward
-      // contract), so the absolute value stays correct until execution
-      // reaches it or an enqueue/divider change invalidates it.
-      cb.value = mem_event;
-      cb.valid = ctrl.read_queue_depth() == 0 &&
-                 ctrl.write_queue_depth() == 0 && !ctrl.has_in_flight();
+    FfBound& w = ff_bounds_[i];
+    if (!w.valid) {
+      w.wake = eval_wake(channels_[i]->controller, mem_cur);
+      w.valid = true;
     }
-    if (mem_event != memctrl::kNoMemEvent) {
-      limit = std::min(limit, mem_event * kCpuCyclesPerMemCycle);
+    if (w.wake != memctrl::kNoMemEvent) {
+      limit = std::min(limit, w.wake * kCpuCyclesPerMemCycle);
       if (limit <= cur + 1) return;
     }
   }
@@ -631,6 +623,7 @@ void System::active_loop(InstCount target,
                          std::size_t& next_cp, InstCount snap_retired,
                          RunResult& r, Cycle period_begin) {
   while (total_retired() < target) {
+    ++work_.cpu_cycles;
     if (config_.fast_forward) {
       if constexpr (!kObserved) {
         // Channel-parallel span first: it needs all-stalled cores and
@@ -686,16 +679,13 @@ void System::active_loop(InstCount target,
       }
       for (std::size_t i = 0; i < channels_.size(); ++i) {
         Channel& ch = *channels_[i];
-        // Elide the tick for a channel whose cached fast-forward bound
-        // proves this cycle is a state no-op (no demand, next event
-        // strictly ahead): identical to the full-span skip the fold
-        // would have taken, minus the fold. Only fast_forward_active /
-        // try_channel_span ever validate a bound, so per-cycle mode
-        // always takes the tick.
-        const FfBound& cb = ff_bounds_[i];
-        if (cb.valid &&
-            (cb.value == memctrl::kNoMemEvent || mem_now < cb.value)) {
+        // Tick a channel only once its wake has come: before it the
+        // tick is a state no-op, so skip_ticks(1) stands in for it.
+        // Per-cycle mode never validates a wake and always ticks.
+        FfBound& w = ff_bounds_[i];
+        if (w.valid && mem_now < w.wake) {
           ch.controller.skip_ticks(1);
+          ++work_.elided_ticks;
           continue;
         }
         {
@@ -708,11 +698,19 @@ void System::active_loop(InstCount target,
                              prof::NullScopedTimer>
               prof_scope(prof_slot, prof_calls);
           ch.controller.tick(mem_now);
+          ++work_.controller_ticks;
         }
         if (ch.controller.has_in_flight()) {
           for (const auto& c : ch.controller.collect_completions(mem_now)) {
             handle_completion(c, cycle);
           }
+        }
+        // The next wake, right after the tick: the fold bails out
+        // cheapest-first and may never reach this channel, and a stale
+        // wake would tick it on every memory cycle.
+        if (config_.fast_forward) {
+          w.wake = eval_wake(ch.controller, mem_now);
+          w.valid = true;
         }
       }
     }
@@ -909,24 +907,20 @@ IdleReport System::idle_period(double seconds) {
     if (tracer_) tracer_->set_now(mem_now * kCpuCyclesPerMemCycle);
     for (auto& ch : channels_) {
       ch->controller.tick(mem_now);
+      ++work_.controller_ticks;
       for (const auto& c : ch->controller.collect_completions(mem_now)) {
         handle_completion(c, mem_now * kCpuCyclesPerMemCycle);
       }
     }
     if (!config_.fast_forward || all_channels_idle()) continue;
     // Event-driven drain: jump to the next tick where ANY controller
-    // could issue, refresh, or complete a read (same bounds as
-    // fast_forward_active; the cores are out of the picture here).
-    // Already-idle channels still fold their next_event so their
-    // refresh schedules keep firing exactly as in the per-cycle drain.
+    // could issue, refresh, or complete a read (the wakes the active
+    // loop uses; the cores are out of the picture here). Already-idle
+    // channels still fold their wake so their refresh schedules keep
+    // firing exactly as in the per-cycle drain.
     dram::MemCycle nxt = memctrl::kNoMemEvent;
     for (auto& ch : channels_) {
-      dram::MemCycle e = ch->controller.next_event(mem_now);
-      const dram::MemCycle done = ch->controller.next_completion_ready();
-      if (done != memctrl::kNoMemEvent) {
-        e = std::min(e, std::max(done, mem_now + 1));
-      }
-      nxt = std::min(nxt, e);
+      nxt = std::min(nxt, eval_wake(ch->controller, mem_now));
     }
     if (nxt > drain_deadline) nxt = drain_deadline;  // covers kNoMemEvent
     if (nxt > mem_now + 1) {

@@ -201,6 +201,18 @@ struct RunResult {
   double wall_mips = 0.0;
 };
 
+/// Host-side work counters (docs/PERFORMANCE.md): how much of the
+/// simulated time a System executed step by step rather than skipped.
+/// Exact and host-independent, so a test can pin them; never part of
+/// RunResult, the stats registry or --out, and cumulative over the
+/// System's lifetime.
+struct WorkCounters {
+  std::uint64_t cpu_cycles = 0;        // active-loop cycles executed
+  std::uint64_t controller_ticks = 0;  // Controller::tick calls
+  std::uint64_t elided_ticks = 0;      // ticks skipped: wake lay ahead
+  std::uint64_t wake_evaluations = 0;  // Controller::next_wake calls
+};
+
 class System {
  public:
   System(const trace::BenchmarkProfile& profile, const SystemConfig& config);
@@ -257,6 +269,9 @@ class System {
   /// destruction; tests can read jsonl() any time.
   [[nodiscard]] tracing::MetricsSampler* metrics() { return metrics_.get(); }
 
+  /// Work the System has executed so far (see WorkCounters).
+  [[nodiscard]] const WorkCounters& work_counters() const { return work_; }
+
   /// Closes the in-flight trace spans (row_open, power-state residency)
   /// at the current cycle. The counter-audit layer (sim/stat_audit.h)
   /// calls this before replaying tracer()->events() against a stats
@@ -300,7 +315,7 @@ class System {
   void register_stats();
   void handle_completion(const memctrl::ReadCompletion& c, Cycle now);
   /// Controller owning `line` under the system-level interleave. Any
-  /// enqueue invalidates the channel's cached fast-forward bound.
+  /// enqueue invalidates the channel's cached wake-up time.
   [[nodiscard]] memctrl::Controller& channel_of(Address line) {
     const std::uint32_t ch = route_.decode(line).channel;
     ff_bounds_[ch].valid = false;
@@ -325,9 +340,15 @@ class System {
   /// order. Returns true when a span was executed (now_ advanced).
   bool try_channel_span();
   /// Propagates the engine's active refresh divider to every controller
-  /// (requires engine_). Pure no-op — and no cache invalidation — when
+  /// (requires engine_). Pure no-op — and no wake invalidation — when
   /// the divider is already current.
   void sync_refresh_divider();
+  /// Counted Controller::next_wake (WorkCounters::wake_evaluations).
+  [[nodiscard]] dram::MemCycle eval_wake(const memctrl::Controller& ctrl,
+                                         dram::MemCycle now) {
+    ++work_.wake_evaluations;
+    return ctrl.next_wake(now);
+  }
   /// Fast-forward step (docs/PERFORMANCE.md): called at the top of the
   /// run_period loop. When the core is in a pure state (stalled on read
   /// data or retiring gap instructions) this computes the minimum of
@@ -392,18 +413,20 @@ class System {
   std::unique_ptr<tracing::Tracer> tracer_;
   std::unique_ptr<tracing::MetricsSampler> metrics_;
 
-  // Cached per-channel next_event bound for the fast-forward fold. For
-  // a channel with empty queues and nothing in flight, next_event(now)
-  // is an absolute cycle (or kNoMemEvent) that stays correct until
-  // execution reaches it — ticks strictly before the bound are state
-  // no-ops for such a channel, which is exactly the fast-forward
-  // contract — or until the System perturbs the channel from outside:
-  // an enqueue (channel_of), a refresh-divider change, resync, or the
-  // idle_period machinery, all of which invalidate. Busy channels are
-  // never cached. Cuts the fold from O(channels) next_event scans per
-  // skip to one scan per *busy* channel (docs/SCALING.md).
+  // Cached per-channel wake-up time (Controller::next_wake), busy or
+  // idle: an absolute memory cycle (or kNoMemEvent) before which every
+  // tick of the channel is a state no-op, so the active loop ticks a
+  // channel only once its wake has come (skip_ticks(1) otherwise) and
+  // the fast-forward fold reads the cached values. A wake is computed
+  // right after the channel ticks, or by the fold for a channel whose
+  // wake was invalidated; it stays correct until execution reaches it
+  // or the System perturbs the channel from outside — an enqueue
+  // (channel_of), a refresh-divider change, resync, a channel-parallel
+  // span or the idle_period machinery — each of which invalidates it
+  // (docs/SCALING.md). Only fast-forward runs validate a wake, so the
+  // per-cycle loop (--fast-forward=off) ticks every channel every cycle.
   struct FfBound {
-    dram::MemCycle value = 0;
+    dram::MemCycle wake = 0;
     bool valid = false;
   };
   std::vector<FfBound> ff_bounds_;
@@ -420,6 +443,7 @@ class System {
   std::uint64_t strong_decodes_ = 0;
   std::uint64_t weak_decodes_ = 0;
   std::uint64_t downgrades_issued_ = 0;
+  WorkCounters work_;
 
   // Multi-period state (Fig. 4 lifecycle).
   Cycle now_ = 0;  // absolute CPU cycles, including idle jumps

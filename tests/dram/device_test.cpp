@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace mecc::dram {
 namespace {
 
@@ -156,6 +158,31 @@ TEST_F(DeviceTest, CountersTallyCommands) {
   EXPECT_EQ(c.activates, 1u);
   EXPECT_EQ(c.reads, 1u);
   EXPECT_EQ(c.writes, 1u);
+}
+
+TEST(DeviceGeometry, RejectsGeometriesBeyondTheBankMaskWidth) {
+  // One bit per global bank in 32-bit masks: checked in every build,
+  // including the 64-bit product (2^16 x 2^16 wraps to 0 in 32 bits).
+  const Timing t;
+  const auto make = [&t](std::uint32_t ranks, std::uint32_t banks) {
+    Geometry g;
+    g.ranks = ranks;
+    g.banks = banks;
+    return Device(g, t);
+  };
+  EXPECT_THROW((void)make(0, 4), std::invalid_argument);
+  EXPECT_THROW((void)make(1, 0), std::invalid_argument);
+  EXPECT_THROW((void)make(8, 8), std::invalid_argument);
+  EXPECT_THROW((void)make(1u << 16, 1u << 16), std::invalid_argument);
+  EXPECT_NO_THROW((void)make(8, 4));
+
+  // The widest legal rank fills the word: bank 31's row is tracked.
+  Device wide = make(1, 32);
+  EXPECT_EQ(wide.rank_bank_mask(0), ~0u);
+  wide.activate(31, 7, 0);
+  EXPECT_EQ(wide.open_banks(), 1u << 31);
+  EXPECT_FALSE(wide.rank_banks_precharged(0));
+  EXPECT_EQ(make(4, 8).rank_bank_mask(3), 0xFF000000u);
 }
 
 }  // namespace

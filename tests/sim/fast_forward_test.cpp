@@ -282,17 +282,100 @@ TEST(FastForward, FaultCampaignBitIdentical) {
                                     off.run_period(200'000)));
 }
 
+TEST(FastForward, MemsysShapeBitIdentical) {
+  // The memsys_8ch benchmark shape — 8 channels x 2 ranks x 4 streams,
+  // per-bank DARP with and without SARP, no-ECC and MECC — where every
+  // channel ticks only when its cached wake-up time comes: one run and
+  // one active -> idle -> active lifecycle, each against the per-cycle
+  // loop.
+  const auto& b = trace::benchmark("milc");
+  for (const bool sarp : {false, true}) {
+    for (const EccPolicy policy : {EccPolicy::kNoEcc, EccPolicy::kMecc}) {
+      SCOPED_TRACE(::testing::Message() << policy_name(policy)
+                                        << (sarp ? " DARP+SARP" : " DARP"));
+      SystemConfig cfg = base_config(policy);
+      cfg.instructions = 200'000;
+      cfg.geometry.channels = 8;
+      cfg.geometry.ranks = 2;
+      cfg.streams = 4;
+      cfg.controller.refresh_granularity =
+          memctrl::RefreshGranularity::kPerBank;
+      cfg.controller.darp = true;
+      cfg.controller.sarp = sarp;
+      const RunResult run_on = run_once(b, cfg, true);
+      EXPECT_TRUE(same_simulated_result(run_on, run_once(b, cfg, false)));
+      std::uint64_t pull_ins = 0;  // the DARP pull-in bound was in play
+      for (const auto& [key, v] : run_on.stats.counters()) {
+        if (key.ends_with("refresh_pull_ins")) pull_ins += v;
+      }
+      EXPECT_GT(pull_ins, 0u);
+
+      cfg.fast_forward = true;
+      System on(b, cfg);
+      cfg.fast_forward = false;
+      System off(b, cfg);
+      EXPECT_TRUE(same_simulated_result(on.run_period(100'000),
+                                        off.run_period(100'000)));
+      expect_idle_reports_equal(on.idle_period(0.01), off.idle_period(0.01));
+      EXPECT_TRUE(same_simulated_result(on.run_period(100'000),
+                                        off.run_period(100'000)));
+    }
+  }
+}
+
+TEST(FastForward, WorkCountersPinnedAtMemsysShape) {
+  // Host-side work counters are exact: pinned for one small run at the
+  // memsys_8ch shape, so a change to how much the fast-forward engine
+  // executes shows up here, not only as host time. The per-cycle loop
+  // executes every cycle and tick and never evaluates a wake.
+  const auto& b = trace::benchmark("lbm");
+  SystemConfig cfg = base_config(EccPolicy::kNoEcc);
+  cfg.instructions = 50'000;
+  cfg.seed = 1;
+  cfg.geometry.channels = 8;
+  cfg.geometry.ranks = 2;
+  cfg.streams = 4;
+  cfg.controller.refresh_granularity = memctrl::RefreshGranularity::kPerBank;
+  cfg.controller.darp = true;
+
+  System on(b, cfg);
+  const RunResult r = on.run();
+  const WorkCounters& w = on.work_counters();
+  EXPECT_EQ(w.cpu_cycles, 7'999u);
+  EXPECT_EQ(w.controller_ticks, 9'095u);
+  EXPECT_EQ(w.elided_ticks, 35'249u);
+  EXPECT_EQ(w.wake_evaluations, 10'877u);
+
+  cfg.fast_forward = false;
+  System off(b, cfg);
+  (void)off.run();
+  const WorkCounters& p = off.work_counters();
+  EXPECT_EQ(p.cpu_cycles, r.cpu_cycles);
+  EXPECT_EQ(p.controller_ticks,
+            r.cpu_cycles / kCpuCyclesPerMemCycle * cfg.geometry.channels);
+  EXPECT_EQ(p.elided_ticks, 0u);
+  EXPECT_EQ(p.wake_evaluations, 0u);
+}
+
 TEST(FastForward, SmdBitIdentical) {
   // SMD's MPKC quantum boundaries are absolute-cycle events the skip
-  // engine must not jump across.
+  // engine must not jump across. Under DARP the refresh-divider change
+  // SMD triggers also moves the pull-in horizon the wakes are built on.
   const auto& b = trace::benchmark("omnetpp");
-  SystemConfig cfg = base_config(EccPolicy::kMecc);
-  cfg.mecc_use_smd = true;
-  cfg.smd_quantum_cycles = 50'000;
-  const RunResult on = run_once(b, cfg, true);
-  const RunResult off = run_once(b, cfg, false);
-  EXPECT_TRUE(same_simulated_result(on, off));
-  EXPECT_GT(on.frac_downgrade_disabled, 0.0);  // SMD actually engaged
+  for (const bool darp : {false, true}) {
+    SystemConfig cfg = base_config(EccPolicy::kMecc);
+    cfg.mecc_use_smd = true;
+    cfg.smd_quantum_cycles = 50'000;
+    if (darp) {
+      cfg.controller.refresh_granularity =
+          memctrl::RefreshGranularity::kPerBank;
+      cfg.controller.darp = true;
+    }
+    const RunResult on = run_once(b, cfg, true);
+    const RunResult off = run_once(b, cfg, false);
+    EXPECT_TRUE(same_simulated_result(on, off)) << (darp ? "DARP" : "");
+    EXPECT_GT(on.frac_downgrade_disabled, 0.0);  // SMD actually engaged
+  }
 }
 
 class ControllerNextEventProperty
@@ -300,61 +383,85 @@ class ControllerNextEventProperty
 
 TEST_P(ControllerNextEventProperty, NeverOvershoots) {
   // Property: whenever next_event(now) returns a bound b, every tick in
-  // (now, b) is a pure no-op — no counter moves — and no completion
-  // becomes ready before next_completion_ready(). The bound is only
-  // valid until the next external input, so it is recomputed after every
-  // enqueue. Runs once per refresh policy: the per-bank due times and
-  // DARP pull-in horizon are each their own bound source.
-  const dram::Geometry geo;
-  const dram::Timing timing;
-  dram::Device dev(geo, timing);
-  memctrl::ControllerConfig cfg;
-  apply_case(GetParam(), cfg);
-  memctrl::Controller ctl(dev, cfg);
-  Rng rng(42);
+  // (now, b) is a pure no-op — no counter moves and no DRAM command
+  // issues — and no completion becomes ready before
+  // next_completion_ready(). The bound is only valid until the next
+  // external input, so it is recomputed after every enqueue. Runs once
+  // per refresh policy (the per-bank due times and DARP pull-in horizon
+  // are each their own bound source) and per shape: two ranks bring
+  // per-rank power-down and the powered-down bank mask, closed page the
+  // any-bank idle-rank row-close bound.
+  struct Shape {
+    std::uint32_t ranks;
+    memctrl::PagePolicy page;
+  };
+  for (const Shape shape : {Shape{1, memctrl::PagePolicy::kOpen},
+                            Shape{2, memctrl::PagePolicy::kOpen},
+                            Shape{2, memctrl::PagePolicy::kClosed}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << shape.ranks << " rank(s), "
+                 << (shape.page == memctrl::PagePolicy::kOpen ? "open"
+                                                              : "closed")
+                 << " page");
+    dram::Geometry geo;
+    geo.ranks = shape.ranks;
+    const dram::Timing timing;
+    dram::Device dev(geo, timing);
+    std::vector<dram::Command> commands;
+    dev.set_command_log(&commands);
+    memctrl::ControllerConfig cfg;
+    apply_case(GetParam(), cfg);
+    cfg.page_policy = shape.page;
+    memctrl::Controller ctl(dev, cfg);
+    Rng rng(42);
 
-  dram::MemCycle bound = 0;  // no-op window: cycles strictly below this
-  dram::MemCycle completion_bound = 0;
-  std::uint64_t next_id = 1;
-  std::uint64_t checked_noop_ticks = 0;
+    dram::MemCycle bound = 0;  // no-op window: cycles strictly below this
+    dram::MemCycle completion_bound = 0;
+    std::uint64_t next_id = 1;
+    std::uint64_t checked_noop_ticks = 0;
 
-  for (dram::MemCycle now = 0; now < 60'000; ++now) {
-    // Bursty traffic with long quiet stretches so refresh and power-down
-    // events dominate some windows and queue activity others.
-    const bool quiet = (now / 8'000) % 2 == 1;
-    if (!quiet && rng.chance(0.1)) {
-      const Address addr = rng.next_below(1 << 14) * kLineBytes;
-      const bool accepted = rng.chance(0.6)
-                                ? ctl.enqueue_read(addr, next_id++, now)
-                                : ctl.enqueue_write(addr, now);
-      (void)accepted;
-      // External input invalidates the standing bounds.
-      bound = 0;
-      completion_bound = 0;
+    for (dram::MemCycle now = 0; now < 60'000; ++now) {
+      // Bursty traffic with long quiet stretches so refresh and
+      // power-down events dominate some windows and queue activity
+      // others.
+      const bool quiet = (now / 8'000) % 2 == 1;
+      if (!quiet && rng.chance(0.1)) {
+        const Address addr = rng.next_below(1 << 14) * kLineBytes;
+        const bool accepted = rng.chance(0.6)
+                                  ? ctl.enqueue_read(addr, next_id++, now)
+                                  : ctl.enqueue_write(addr, now);
+        (void)accepted;
+        // External input invalidates the standing bounds.
+        bound = 0;
+        completion_bound = 0;
+      }
+
+      const bool expect_noop = now < bound;
+      StatSet before;
+      const std::size_t commands_before = commands.size();
+      if (expect_noop) before = ctl.stats();
+      ctl.tick(now);
+      const auto& done = ctl.collect_completions(now);
+      if (expect_noop) {
+        EXPECT_EQ(before, ctl.stats()) << "tick acted before bound at " << now;
+        EXPECT_EQ(commands.size(), commands_before)
+            << "command issued before bound at " << now;
+        ++checked_noop_ticks;
+      }
+      if (now < completion_bound) {
+        EXPECT_TRUE(done.empty())
+            << "completion before next_completion_ready at " << now;
+      }
+
+      const dram::MemCycle b = ctl.next_event(now);
+      ASSERT_GT(b, now) << "bound must be strictly in the future";
+      bound = b;
+      const dram::MemCycle c = ctl.next_completion_ready();
+      completion_bound = c == memctrl::kNoMemEvent ? 0 : c;
     }
-
-    const bool expect_noop = now < bound;
-    StatSet before;
-    if (expect_noop) before = ctl.stats();
-    ctl.tick(now);
-    const auto& done = ctl.collect_completions(now);
-    if (expect_noop) {
-      EXPECT_EQ(before, ctl.stats()) << "tick acted before bound at " << now;
-      ++checked_noop_ticks;
-    }
-    if (now < completion_bound) {
-      EXPECT_TRUE(done.empty())
-          << "completion before next_completion_ready at " << now;
-    }
-
-    const dram::MemCycle b = ctl.next_event(now);
-    ASSERT_GT(b, now) << "bound must be strictly in the future";
-    bound = b;
-    const dram::MemCycle c = ctl.next_completion_ready();
-    completion_bound = c == memctrl::kNoMemEvent ? 0 : c;
+    // The property actually bit on a meaningful share of the run.
+    EXPECT_GT(checked_noop_ticks, 10'000u);
   }
-  // The property actually bit on a meaningful share of the run.
-  EXPECT_GT(checked_noop_ticks, 10'000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
