@@ -231,9 +231,11 @@ std::vector<ThroughputRow> run_throughput(std::uint64_t seed) {
                     encode_lps(ref, datas)});
     rows.push_back({"bch_t6_decode_clean", decode_lps(vec, cws),
                     decode_lps(ref, cws)});
-    // Exactly w errors per line: the closed-form roots (w = 1, 2) and
-    // the log-domain Chien search (w >= 3), up to the capability.
-    for (const std::size_t w : {1, 2, 3, 6}) {
+    // Exactly w errors per line, one row per root-finding branch: the
+    // closed forms (w = 1, 2), the affine quartic (w = 3, 4), the split
+    // test plus a partial Chien search (w = 5, 6), and past the
+    // capability the split test's reject (w = 8).
+    for (const std::size_t w : {1, 2, 3, 4, 5, 6, 8}) {
       reliability::FaultInjector fi(seed * 7919 + 17 * w);
       std::vector<BitVec> bad = cws;
       for (BitVec& cw : bad) fi.inject_exact(cw, w);

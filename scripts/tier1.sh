@@ -1,19 +1,17 @@
 #!/usr/bin/env bash
 # Tier-1 verify (ROADMAP.md): configure, build and run the full test
-# suite, parallel everywhere (ctest includes the pinned-reference diffs
-# and the --fast-forward / --jobs / --channel-parallel byte-identity
-# legs, see tests/CMakeLists.txt), then the observability, profiler,
-# audit, flag-strip and fleet smokes below.
+# suite, parallel everywhere (ctest includes the pinned-reference diffs,
+# the --fast-forward / --jobs / --channel-parallel byte-identity legs,
+# the audit self-test and the flag-strip smoke, see tests/CMakeLists.txt),
+# then the observability, profiler, audit and fleet smokes below.
 #
 #   scripts/tier1.sh           # standard RelWithDebInfo verify
-#   scripts/tier1.sh --tsan    # additionally build with -DMECC_TSAN=ON
-#                              # into build-tsan/ and run the thread-pool
-#                              # + parallel-runner + stats/JSON tests
-#                              # under TSan
-#   scripts/tier1.sh --asan    # additionally build with -DMECC_ASAN=ON
-#                              # into build-asan/ and run the reliability,
-#                              # fault-campaign, BCH, mode-store, engine
-#                              # and System tests under ASan+UBSan
+#   scripts/tier1.sh --tsan    # additionally build the whole tree with
+#                              # -DMECC_TSAN=ON into build-tsan/ and run
+#                              # all of ctest under TSan
+#   scripts/tier1.sh --asan    # additionally build the whole tree with
+#                              # -DMECC_ASAN=ON into build-asan/ and run
+#                              # all of ctest under ASan+UBSan
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -67,40 +65,11 @@ cmp "$out_json" "$profile_out"
 
 # Counter-audit gate (docs/OBSERVABILITY.md): the event trace and the
 # stats snapshot must agree on every invariant family across the
-# policy x geometry matrix, and the self-test — one deliberately
-# miscounted stat — must fail with exit 1 naming the skewed key.
+# policy x geometry matrix. (Its self-test, one deliberately miscounted
+# stat, is the ctest BenchSmoke.AuditSelfTestNamesSkewedKey.)
 build/bench/bench_stat_audit --instructions=20000 --seed=1 \
   --out=build/tier1_audit_out.json > /dev/null
 python3 -m json.tool build/tier1_audit_out.json > /dev/null
-audit_rc=0
-build/bench/bench_stat_audit --audit-selftest=dram.activates \
-  > build/tier1_audit_selftest.log 2>&1 || audit_rc=$?
-if [[ "$audit_rc" != 1 ]]; then
-  echo "tier1: audit selftest exited $audit_rc, expected 1" >&2
-  exit 1
-fi
-grep -q 'dram.activates' build/tier1_audit_selftest.log
-
-# Shared-flag strip smoke (regression for the bench_ecc_codec leak):
-# every SimOptions flag must pass through the bench without reaching
-# benchmark::Initialize, which exits non-zero on flags it does not
-# recognize. The bench main derives its strip set from parse_options'
-# consumed report, so this invocation fails the instant a newly added
-# shared flag is not reported consumed.
-build/bench/bench_ecc_codec \
-  --instructions=1000 --seed=1 --jobs=1 --ber=0.001 \
-  --channels=2 --ranks=2 --interleave=line --streams=1 \
-  --channel-parallel=0 \
-  --fast-forward=on --trace=build/tier1_codec_trace.json \
-  --trace-categories=dram --trace-limit=1000 \
-  --metrics-out=build/tier1_codec_metrics.jsonl \
-  --metrics-interval=100000 --metrics-keys=power \
-  --out=build/tier1_codec_out.json \
-  --perf-out=build/tier1_codec_perf.json \
-  --benchmark_filter=BM_SecdedEncode64 > /dev/null
-python3 -m json.tool build/tier1_codec_out.json > /dev/null
-# --list-stats short-circuits before the benchmark suite; it must exit 0.
-build/bench/bench_ecc_codec --list-stats > /dev/null
 
 # Codec differential gate: the word-parallel SECDED/BCH hot paths must
 # be bit-identical to the retained scalar references (already covered by
@@ -148,30 +117,12 @@ scripts/perf_smoke.sh --repeats=1 --instructions=500000 || true
 
 if [[ "$run_tsan" == 1 ]]; then
   cmake -B build-tsan -S . -DMECC_TSAN=ON
-  cmake --build build-tsan -j --target test_thread_pool \
-    test_parallel_runner test_run_json test_stats \
-    test_golden_vectors test_codec_property test_fast_forward \
-    test_trace test_observability test_codec_equivalence \
-    test_refresh_policy test_fleet_orchestrator \
-    test_telemetry test_profile test_stat_audit
-  # The pinned-reference legs need bench binaries this build skips.
-  ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-    -E '^(BenchEmit|PinnedRef|ByteIdentical)\.' \
-    -R 'ThreadPool|ParallelRunner|RunJson|StatSet|StatRegistry|Distribution|QuantileSketch|GoldenVectors|CodecProperty|FastForward|Tracer|MetricsSampler|Observability|CodecEquivalence|PerBankRefresh|DarpRefresh|SarpRefresh|Fleet|Telemetry|ProgressRecord|ProgressTailer|SnapshotJson|HostProfiler|StatAudit'
+  cmake --build build-tsan -j
+  ctest --test-dir build-tsan --output-on-failure -j "$(nproc)"
 fi
 
 if [[ "$run_asan" == 1 ]]; then
   cmake -B build-asan -S . -DMECC_ASAN=ON
-  cmake --build build-asan -j --target test_fault_injection \
-    test_memory_image test_shadow_memory test_due_policy \
-    test_fault_campaign test_line_codec test_bitvec test_fast_forward \
-    test_json test_trace test_observability test_codec_equivalence \
-    test_refresh_policy test_controller_fuzz test_elastic_refresh \
-    test_fleet_orchestrator test_stats \
-    test_telemetry test_profile test_stat_audit \
-    test_mode_store test_engine test_system \
-    test_bch test_bch_edge test_bch_grid
-  ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -E '^(BenchEmit|PinnedRef|ByteIdentical)\.' \
-    -R 'FaultInjector|MonteCarlo|MemoryImage|ShadowMemory|DuePolicy|FaultCampaign|LineCodec|BitVec|FastForward|JsonEscape|JsonWriter|Tracer|MetricsSampler|Observability|CodecEquivalence|Bch|PerBankRefresh|DarpRefresh|SarpRefresh|ElasticRefresh|ControllerFuzz|ControllerStress|Fleet|StatSet|StatRegistry|Distribution|QuantileSketch|Telemetry|ProgressRecord|ProgressTailer|SnapshotJson|HostProfiler|StatAudit|^(ModeStore|Engine|System)\.'
+  cmake --build build-asan -j
+  ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
 fi

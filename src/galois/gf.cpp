@@ -35,37 +35,17 @@ GaloisField::GaloisField(unsigned m) : m_(m) {
   }
   size_ = 1u << m;
   prim_poly_ = kPrimitivePoly[m];
-  antilog_.resize(order());
+  antilog_.resize(2 * order());
   log_.assign(size_, 0);
 
   Elem x = 1;
   for (std::uint32_t i = 0; i < order(); ++i) {
     antilog_[i] = x;
+    antilog_[i + order()] = x;
     log_[x] = i;
     x <<= 1;
     if (x & size_) x ^= prim_poly_;
   }
-}
-
-std::uint32_t GaloisField::log(Elem x) const {
-  assert(x != 0 && x < size_);
-  return log_[x];
-}
-
-Elem GaloisField::mul(Elem a, Elem b) const {
-  if (a == 0 || b == 0) return 0;
-  return antilog_[(log_[a] + log_[b]) % order()];
-}
-
-Elem GaloisField::div(Elem a, Elem b) const {
-  assert(b != 0);
-  if (a == 0) return 0;
-  return antilog_[(log_[a] + order() - log_[b]) % order()];
-}
-
-Elem GaloisField::inv(Elem a) const {
-  assert(a != 0);
-  return antilog_[(order() - log_[a]) % order()];
 }
 
 Elem GaloisField::pow(Elem a, std::uint64_t e) const {

@@ -4,8 +4,15 @@
 // elements are represented as integers in [0, 2^m); 0 is the additive
 // identity, alpha (the primitive element) generates the multiplicative
 // group of order 2^m - 1.
+//
+// mul, div, inv and log are inline: the BCH decoder's Berlekamp-Massey
+// loop and root finders call them per coefficient. The antilog table
+// holds two periods (2 * (2^m - 1) entries), so a product or quotient
+// indexes it with log a + log b or log a + order - log b directly,
+// never with a modulo.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -29,23 +36,39 @@ class GaloisField {
   /// The primitive polynomial, as a bit mask including the x^m term.
   [[nodiscard]] std::uint32_t primitive_poly() const { return prim_poly_; }
 
-  /// alpha^i for i in [0, order).
+  /// alpha^i for any i.
   [[nodiscard]] Elem alpha_pow(std::uint32_t i) const {
     return antilog_[i % order()];
   }
-  /// The whole antilog table: entry i is alpha^i for i in [0, order).
-  /// Lets log-domain loops (the BCH Chien search) load alpha^e directly
-  /// with no multiply or modulo.
+  /// The whole antilog table: entry i is alpha^i for i in
+  /// [0, 2 * order). Lets log-domain loops (the BCH Chien search and
+  /// root finders) load alpha^e directly with no multiply or modulo.
   [[nodiscard]] std::span<const Elem> antilog_table() const {
     return antilog_;
   }
-  /// Discrete log base alpha; undefined for x == 0 (asserted).
-  [[nodiscard]] std::uint32_t log(Elem x) const;
+  /// Discrete log base alpha, in [0, order); undefined for x == 0
+  /// (asserted).
+  [[nodiscard]] std::uint32_t log(Elem x) const {
+    assert(x != 0 && x < size_);
+    return log_[x];
+  }
 
   [[nodiscard]] static Elem add(Elem a, Elem b) { return a ^ b; }
-  [[nodiscard]] Elem mul(Elem a, Elem b) const;
-  [[nodiscard]] Elem div(Elem a, Elem b) const;
-  [[nodiscard]] Elem inv(Elem a) const;
+  [[nodiscard]] Elem mul(Elem a, Elem b) const {
+    if (a == 0 || b == 0) return 0;
+    return antilog_[log_[a] + log_[b]];
+  }
+  /// a / b; b must be nonzero (asserted).
+  [[nodiscard]] Elem div(Elem a, Elem b) const {
+    assert(b != 0);
+    if (a == 0) return 0;
+    return antilog_[log_[a] + order() - log_[b]];
+  }
+  /// 1 / a; a must be nonzero (asserted).
+  [[nodiscard]] Elem inv(Elem a) const {
+    assert(a != 0);
+    return antilog_[order() - log_[a]];
+  }
   /// a^e with e any non-negative exponent (a may be 0: 0^0 == 1).
   [[nodiscard]] Elem pow(Elem a, std::uint64_t e) const;
 
@@ -61,8 +84,8 @@ class GaloisField {
   unsigned m_;
   std::uint32_t size_;
   std::uint32_t prim_poly_;
-  std::vector<Elem> antilog_;          // antilog_[i] = alpha^i
-  std::vector<std::uint32_t> log_;     // log_[x] = i with alpha^i = x
+  std::vector<Elem> antilog_;       // antilog_[i] = alpha^i, two periods
+  std::vector<std::uint32_t> log_;  // log_[x] = i in [0, order), alpha^i = x
 };
 
 }  // namespace mecc::galois

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -202,6 +204,7 @@ TEST(Bch, CorrectsEveryWeightOneAndTwoPattern) {
 struct LocatorCensus {
   std::size_t L = 0;
   bool degree_matches = false;  // deg(lambda) == L
+  galois::Elem lambda1 = 0;
   std::size_t roots = 0;        // distinct roots in the whole field
   std::size_t roots_below_n = 0;
 };
@@ -246,6 +249,7 @@ LocatorCensus census(const galois::GaloisField& gf, std::size_t t,
   LocatorCensus c;
   c.L = L;
   c.degree_matches = static_cast<std::size_t>(lambda.degree()) == L;
+  c.lambda1 = lambda.coeff(1);
   for (std::uint32_t i = 0; i < order; ++i) {
     if (lambda.eval(gf, gf.alpha_pow((order - i) % order)) == 0) {
       ++c.roots;
@@ -255,54 +259,111 @@ LocatorCensus census(const galois::GaloisField& gf, std::size_t t,
   return c;
 }
 
+/// A codeword whose parity bits carry e(x) mod g(x) for the error
+/// pattern e(x) = sum of x^i over `positions` (any i < 2^m - 1). Its
+/// syndromes are e's, so the decoder sees e's locator, roots in the
+/// shortened prefix included.
+BitVec word_with_syndromes_of(const Bch& code, const BitVec& cw,
+                              const std::vector<std::size_t>& positions,
+                              std::uint32_t order) {
+  BitVec e(order);
+  for (const std::size_t i : positions) e.flip(i);
+  const galois::Gf2Poly rem =
+      galois::Gf2Poly::from_bits(e).mod(code.generator());
+  BitVec word = cw;
+  for (std::size_t j = 0; j < code.parity_bits(); ++j) {
+    if (rem.coeff(j)) word.flip(code.data_bits() + j);
+  }
+  return word;
+}
+
 TEST(Bch, BeyondCapabilityMatchesScalarOnEveryRootBranch) {
-  // t+1..t+3 random errors drive the locator into the branches that
-  // must report kUncorrectable: a degree-2 locator with no roots in the
-  // field, one with a root in the shortened prefix (>= n), and the
-  // log-domain Chien search for L >= 3. Every word must decode exactly
-  // as the scalar reference does. A degree-2 locator never has a double
-  // root: lambda_1 = S_1 for binary codes, and L = 2 needs S_1 != 0.
-  for (const std::size_t t : {std::size_t{2}, std::size_t{3}}) {
+  // Three kinds of word drive the locator into every root-finding
+  // branch: 3..t+3 random errors; words carrying the syndromes of w <= t
+  // errors anywhere in the field, so roots fall in the shortened prefix
+  // (>= n); and four errors at alpha^i summing to zero, i.e.
+  // lambda_1 = S_1 = 0. Every word must decode exactly as the scalar
+  // reference does, and the census below must see each branch. A
+  // degree-2 locator never has a double root: lambda_1 = S_1 for binary
+  // codes, and L = 2 needs S_1 != 0.
+  std::map<std::string, std::size_t> seen;
+  for (const std::size_t t :
+       {std::size_t{2}, std::size_t{3}, std::size_t{4}, std::size_t{6}}) {
     const Bch code(10, t, 512);
     const reference::ScalarBch ref(10, t, 512);
     const galois::GaloisField gf(10);
+    const std::uint32_t order = gf.order();
     Rng rng(0xB0075 + t);
-    std::size_t no_roots = 0;
-    std::size_t root_in_prefix = 0;
-    std::size_t double_root = 0;
-    std::size_t chien = 0;
-    for (std::size_t weight = t + 1; weight <= t + 3; ++weight) {
+    std::vector<BitVec> words;
+    for (std::size_t weight = 3; weight <= t + 3; ++weight) {
       for (int trial = 0; trial < 300; ++trial) {
-        BitVec bad = code.encode(random_data(512, rng));
-        bad = corrupt(bad, weight, rng);
-        const DecodeResult got = code.decode(bad);
-        const DecodeResult want = ref.decode(bad);
-        ASSERT_EQ(got.status, want.status)
-            << "t=" << t << " weight=" << weight << " trial " << trial;
-        ASSERT_EQ(got.corrected_bits, want.corrected_bits);
-        ASSERT_EQ(got.data, want.data);
-
-        const LocatorCensus c =
-            census(gf, t, 512, code.parity_bits(), bad);
-        if (c.L > t || !c.degree_matches) continue;
-        if (c.L >= 3) ++chien;
-        if (c.L != 2) continue;
-        const bool in_prefix = c.roots == 2 && c.roots_below_n < 2;
-        no_roots += c.roots == 0;
-        double_root += c.roots == 1;
-        root_in_prefix += in_prefix;
-        if (c.roots == 0 || in_prefix) {
-          EXPECT_EQ(got.status, DecodeStatus::kUncorrectable);
-        }
+        words.push_back(
+            corrupt(code.encode(random_data(512, rng)), weight, rng));
       }
     }
-    EXPECT_EQ(double_root, 0u) << "t=" << t;
-    if (t == 2) {
-      EXPECT_GT(no_roots, 0u);
-      EXPECT_GT(root_in_prefix, 0u);
-    } else {
-      EXPECT_GT(chien, 0u);
+    for (std::size_t weight = 3; weight <= t; ++weight) {
+      for (int trial = 0; trial < 200; ++trial) {
+        std::set<std::size_t> pos;
+        while (pos.size() < weight) pos.insert(rng.next_below(order));
+        words.push_back(word_with_syndromes_of(
+            code, code.encode(random_data(512, rng)),
+            {pos.begin(), pos.end()}, order));
+      }
     }
+    for (int trial = 0; t >= 4 && trial < 100; ++trial) {
+      std::set<std::size_t> pos;
+      while (pos.size() < 3) pos.insert(rng.next_below(code.codeword_bits()));
+      galois::Elem sum = 0;
+      for (const std::size_t i : pos) {
+        sum ^= gf.alpha_pow(static_cast<std::uint32_t>(i));
+      }
+      if (sum == 0 || !pos.insert(gf.log(sum)).second) continue;
+      words.push_back(word_with_syndromes_of(
+          code, code.encode(random_data(512, rng)),
+          {pos.begin(), pos.end()}, order));
+    }
+
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      const BitVec& bad = words[w];
+      const DecodeResult got = code.decode(bad);
+      const DecodeResult want = ref.decode(bad);
+      ASSERT_EQ(got.status, want.status) << "t=" << t << " word " << w;
+      ASSERT_EQ(got.corrected_bits, want.corrected_bits)
+          << "t=" << t << " word " << w;
+      ASSERT_EQ(got.data, want.data) << "t=" << t << " word " << w;
+
+      const LocatorCensus c = census(gf, t, 512, code.parity_bits(), bad);
+      if (c.L > t || !c.degree_matches || c.L == 1) continue;
+      const std::string L =
+          c.L >= 5 ? "L>=5" : "L=" + std::to_string(c.L);
+      std::string branch;
+      if (c.roots < c.L) {
+        branch = c.L >= 5 ? " rejected by the split test"
+                          : " fewer than L roots in the field";
+      } else if (c.roots_below_n < c.L) {
+        branch = " root at or beyond n";
+      } else {
+        branch = " all roots below n";
+      }
+      ++seen[L + branch];
+      if (c.L == 4 && c.lambda1 == 0) ++seen["L=4 lambda_1=0"];
+      if (c.L == 2) {
+        EXPECT_NE(c.roots, 1u) << "t=" << t << " word " << w;
+      }
+      if (branch != " all roots below n") {
+        EXPECT_EQ(got.status, DecodeStatus::kUncorrectable)
+            << "t=" << t << " word " << w << ": " << L << branch;
+      }
+    }
+  }
+  for (const char* branch :
+       {"L=2 fewer than L roots in the field", "L=2 root at or beyond n",
+        "L=3 all roots below n", "L=3 root at or beyond n",
+        "L=3 fewer than L roots in the field", "L=4 all roots below n",
+        "L=4 root at or beyond n", "L=4 fewer than L roots in the field",
+        "L=4 lambda_1=0", "L>=5 rejected by the split test",
+        "L>=5 root at or beyond n", "L>=5 all roots below n"}) {
+    EXPECT_GT(seen[branch], 0u) << branch;
   }
 }
 

@@ -6,8 +6,8 @@
 // correction, is the contract.
 //
 // This suite runs under the ASan and TSan tier-1 legs too
-// (scripts/tier1.sh), so the word-scan and thread_local-scratch paths
-// get sanitizer coverage at volume.
+// (scripts/tier1.sh), so the remainder, root-finding and
+// thread_local-scratch paths get sanitizer coverage at volume.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -62,6 +62,15 @@ std::vector<CodecPair> make_pairs() {
                    std::make_unique<reference::ScalarBch>(10, 3, 512), 1700});
   pairs.push_back({"bch_t6", std::make_unique<Bch>(10, 6, 512),
                    std::make_unique<reference::ScalarBch>(10, 6, 512), 1200});
+  // Data that is not a whole number of bytes or 64-bit words. At k = 30
+  // (p = 18) the top data byte also holds two parity bits, which the
+  // decoder's remainder must leave out; at k = 800 (p = 55) the received
+  // parity straddles two 64-bit words.
+  pairs.push_back({"bch_m6_t3_k30", std::make_unique<Bch>(6, 3, 30),
+                   std::make_unique<reference::ScalarBch>(6, 3, 30), 1700});
+  pairs.push_back({"bch_m11_t5_k800", std::make_unique<Bch>(11, 5, 800),
+                   std::make_unique<reference::ScalarBch>(11, 5, 800),
+                   1250});
   return pairs;
 }
 

@@ -1,15 +1,26 @@
-# Runs EXE with one argument ARG and checks its exit code, and that its
-# stdout / stderr match the given regexes (ctest alone tells only zero
-# from non-zero).
+# Runs EXE with the arguments that follow `--` and checks its exit code,
+# and that its stdout / stderr match the given regexes (ctest alone tells
+# only zero from non-zero).
 #
-#   cmake -DEXE=<program> -DARG=<argument> -DEXPECT_RC=<code>
+#   cmake -DEXE=<program> -DEXPECT_RC=<code>
 #         [-DEXPECT_STDOUT=<regex>] [-DEXPECT_STDERR=<regex>]
-#         -P expect_run.cmake
-execute_process(COMMAND "${EXE}" "${ARG}"
+#         -P expect_run.cmake -- [<argument>...]
+set(args)
+set(after_separator FALSE)
+math(EXPR last "${CMAKE_ARGC} - 1")
+foreach(i RANGE ${last})
+  if(after_separator)
+    list(APPEND args "${CMAKE_ARGV${i}}")
+  elseif(CMAKE_ARGV${i} STREQUAL "--")
+    set(after_separator TRUE)
+  endif()
+endforeach()
+execute_process(COMMAND "${EXE}" ${args}
                 RESULT_VARIABLE rc
                 OUTPUT_VARIABLE out
                 ERROR_VARIABLE err)
-set(report "${EXE} ${ARG}\n--- stdout\n${out}--- stderr\n${err}")
+list(JOIN args " " shown)
+set(report "${EXE} ${shown}\n--- stdout\n${out}--- stderr\n${err}")
 if(NOT rc STREQUAL EXPECT_RC)
   message(FATAL_ERROR "exit ${rc}, expected ${EXPECT_RC}: ${report}")
 endif()
