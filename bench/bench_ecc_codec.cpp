@@ -9,6 +9,8 @@
 // to fold into BENCH_perf.json (docs/PERFORMANCE.md).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -154,23 +156,27 @@ struct ThroughputRow {
   double scalar_lps = 0.0;  // scalar-reference lines/sec (0 = n/a)
 };
 
-/// Runs `body` (which processes kPoolLines lines) repeatedly until at
-/// least ~60 ms of wall time accumulates, then reports lines/sec.
+/// Runs `body` (which processes kPoolLines lines) in five windows of at
+/// least 60 ms each and reports the median window's lines/sec: one
+/// window moved by up to ~2x between back-to-back runs on a shared host.
 template <typename F>
 double measure_lines_per_sec(F&& body) {
   using clock = std::chrono::steady_clock;
   body();  // warm-up: touch tables, fault in scratch
-  std::uint64_t reps = 1;
-  for (;;) {
+  std::array<double, 5> lps{};
+  for (double& w : lps) {
+    std::uint64_t reps = 0;
     const auto t0 = clock::now();
-    for (std::uint64_t r = 0; r < reps; ++r) body();
-    const double secs =
-        std::chrono::duration<double>(clock::now() - t0).count();
-    if (secs >= 0.06) {
-      return static_cast<double>(reps * kPoolLines) / secs;
-    }
-    reps *= 4;
+    double secs = 0.0;
+    do {
+      body();
+      ++reps;
+      secs = std::chrono::duration<double>(clock::now() - t0).count();
+    } while (secs < 0.06);
+    w = static_cast<double>(reps * kPoolLines) / secs;
   }
+  std::sort(lps.begin(), lps.end());
+  return lps[lps.size() / 2];
 }
 
 template <typename Code>

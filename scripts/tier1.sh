@@ -2,8 +2,9 @@
 # Tier-1 verify (ROADMAP.md): configure, build and run the full test
 # suite, parallel everywhere (ctest includes the pinned-reference diffs,
 # the --fast-forward / --jobs / --channel-parallel byte-identity legs,
-# the audit self-test and the flag-strip smoke, see tests/CMakeLists.txt),
-# then the observability, profiler, audit and fleet smokes below.
+# the counter audit and its self-test, the flag-strip smoke and the fleet
+# kill + resume drill, see tests/CMakeLists.txt), then the observability
+# and profiler smokes below.
 #
 #   scripts/tier1.sh           # standard RelWithDebInfo verify
 #   scripts/tier1.sh --tsan    # additionally build the whole tree with
@@ -63,53 +64,11 @@ python3 -m json.tool "$profile_json" > /dev/null
 grep -q 'mecc-profile-v1' "$profile_json"
 cmp "$out_json" "$profile_out"
 
-# Counter-audit gate (docs/OBSERVABILITY.md): the event trace and the
-# stats snapshot must agree on every invariant family across the
-# policy x geometry matrix. (Its self-test, one deliberately miscounted
-# stat, is the ctest BenchSmoke.AuditSelfTestNamesSkewedKey.)
-build/bench/bench_stat_audit --instructions=20000 --seed=1 \
-  --out=build/tier1_audit_out.json > /dev/null
-python3 -m json.tool build/tier1_audit_out.json > /dev/null
-
 # Codec differential gate: the word-parallel SECDED/BCH hot paths must
 # be bit-identical to the retained scalar references (already covered by
 # ctest above via test_codec_equivalence; re-run standalone so a filtered
 # ctest invocation can never silently skip it).
 build/tests/test_codec_equivalence --gtest_brief=1 > /dev/null
-
-# Fleet orchestrator crash-safety smoke (docs/FLEET.md): run an
-# uninterrupted reference campaign, then a campaign whose orchestrator
-# hard-exits mid-run (orch-exit selftest: _exit(137) with no cleanup,
-# the moral equivalent of kill -9) with a worker-crash injection on top,
-# then --resume it at different parallelism. The resumed aggregate must
-# match the reference byte for byte. The killed + resumed runs stream
-# the mecc-telemetry-v1 feed (docs/OBSERVABILITY.md) while the
-# reference runs with telemetry off, so the final cmp doubles as the
-# telemetry byte-identity gate; the feed itself must validate with a
-# resume boundary and a closing final snapshot.
-fleet_flags=(--fleet-devices=2000 --fleet-devices-per-shard=250
-  --fleet-lines-per-device=4096 --seed=1 --fleet-backoff-s=0.01)
-fleet_feed="build/tier1_fleet_feed.jsonl"
-rm -rf build/tier1_fleet_ref build/tier1_fleet_kill
-rm -f "$fleet_feed"
-build/bench/bench_fleet_campaign "${fleet_flags[@]}" --jobs=3 \
-  --fleet-state-dir=build/tier1_fleet_ref \
-  --out=build/tier1_fleet_out.json > /dev/null
-python3 -m json.tool build/tier1_fleet_out.json > /dev/null
-fleet_rc=0
-build/bench/bench_fleet_campaign "${fleet_flags[@]}" --jobs=2 \
-  --fleet-state-dir=build/tier1_fleet_kill \
-  --telemetry-out="$fleet_feed" \
-  --fleet-selftest=orch-exit@3,crash@1:1 > /dev/null || fleet_rc=$?
-if [[ "$fleet_rc" != 137 ]]; then
-  echo "tier1: fleet orch-exit selftest exited $fleet_rc, expected 137" >&2
-  exit 1
-fi
-build/bench/bench_fleet_campaign "${fleet_flags[@]}" --jobs=4 \
-  --resume=build/tier1_fleet_kill \
-  --telemetry-out="$fleet_feed" > /dev/null
-python3 scripts/mecc_top.py "$fleet_feed" --validate --expect-final
-cmp build/tier1_fleet_ref/aggregate.jsonl build/tier1_fleet_kill/aggregate.jsonl
 
 # Wall-clock report (non-gating: host-dependent numbers, never a
 # pass/fail signal; the committed snapshot is BENCH_perf.json).

@@ -151,6 +151,7 @@ bool Controller::enqueue_read(Address line_addr, std::uint64_t id,
   r.bank = c.rank * device_.geometry().banks + c.bank;  // global bank
   r.row = c.row;
   r.col = c.col;
+  flush_depth_samples();
   read_q_.push_back(r);
   index_insert(r);
   ++reads_enqueued_;
@@ -173,6 +174,7 @@ bool Controller::enqueue_write(Address line_addr, dram::MemCycle now) {
   r.bank = c.rank * device_.geometry().banks + c.bank;  // global bank
   r.row = c.row;
   r.col = c.col;
+  flush_depth_samples();
   write_q_.push_back(r);
   index_insert(r);
   ++writes_enqueued_;
@@ -470,6 +472,7 @@ bool Controller::try_issue_column(std::vector<MemRequest>& q,
         read_latency_mem_cycles_ += done - it->arrive;
         work_rank_ = static_cast<int>(device_.rank_of(it->bank));
         index_erase(*it);
+        flush_depth_samples();
         q.erase(it);
         if (tracer_ != nullptr) trace_queue_depths(now);
         return true;
@@ -480,6 +483,7 @@ bool Controller::try_issue_column(std::vector<MemRequest>& q,
         ++row_hits_;
         work_rank_ = static_cast<int>(device_.rank_of(it->bank));
         index_erase(*it);
+        flush_depth_samples();
         q.erase(it);
         if (tracer_ != nullptr) trace_queue_depths(now);
         return true;
@@ -627,10 +631,9 @@ bool Controller::try_close_unneeded_row(dram::MemCycle now) {
 }
 
 void Controller::tick(dram::MemCycle now) {
-  // Per-cycle queue-occupancy integral (members, not StatSet lookups:
-  // this runs every memory cycle).
-  read_q_depth_.record(static_cast<double>(read_q_.size()));
-  write_q_depth_.record(static_cast<double>(write_q_.size()));
+  // This cycle's queue-occupancy sample: counted here, recorded at the
+  // next queue-size change (flush_depth_samples).
+  ++pending_depth_samples_;
   work_rank_ = -1;
   manage_refresh(now);
   if ((read_q_.empty() && write_q_.empty())) {
@@ -661,39 +664,44 @@ dram::MemCycle Controller::earliest_issue_bound() const {
   // A request's bound depends only on its bank's state, whether its row
   // matches that bank's open row, and read-vs-write (tWTR) — all of
   // which the per-bank demand counters track — so the minimum is taken
-  // bankwise in O(banks) instead of rescanning both queues. This runs
-  // on nearly every fast-forward attempt (docs/PERFORMANCE.md).
+  // bankwise, over the queued-bank mask one rank at a time (the rank's
+  // ACT and wake-up bounds read once), instead of rescanning both
+  // queues. This runs on nearly every fast-forward attempt
+  // (docs/PERFORMANCE.md).
   dram::MemCycle e = kNoMemEvent;
   const dram::Timing& t = device_.timing();
   const dram::MemCycle bus = device_.bus_ready();
   const dram::MemCycle read_bus =
       device_.last_col_was_write() ? bus + t.tWTR : bus;
-  const std::uint32_t total = device_.total_banks();
-  for (std::uint32_t b = 0; b < total; ++b) {
-    if (bank_queued_[b] == 0) continue;
-    const std::uint32_t rank = device_.rank_of(b);
-    const dram::Bank& bank = device_.bank(b);
-    dram::MemCycle c;
-    if (bank.row_open()) {
-      const std::uint32_t matched = open_row_demand_[b];
-      const std::uint32_t matched_reads = open_row_demand_reads_[b];
-      c = kNoMemEvent;
-      if (matched_reads != 0) {
-        c = std::max(bank.ready_col(), read_bus);
+  for (std::uint32_t r = 0; r < device_.geometry().ranks; ++r) {
+    const std::uint32_t queued = queued_mask_ & device_.rank_bank_mask(r);
+    if (queued == 0) continue;
+    const dram::MemCycle act =
+        std::max(device_.next_act_allowed(r), device_.act_faw_bound(r));
+    const dram::MemCycle awake = device_.wakeup_ready(r);
+    for (std::uint32_t m = queued; m != 0; m &= m - 1) {
+      const std::uint32_t b = lowest_bank(m);
+      const dram::Bank& bank = device_.bank(b);
+      dram::MemCycle c;
+      if (bank.row_open()) {
+        const std::uint32_t matched = open_row_demand_[b];
+        const std::uint32_t matched_reads = open_row_demand_reads_[b];
+        c = kNoMemEvent;
+        if (matched_reads != 0) {
+          c = std::max(bank.ready_col(), read_bus);
+        }
+        if (matched != matched_reads) {  // matched writes
+          c = std::min(c, std::max(bank.ready_col(), bus));
+        }
+        if (matched != bank_queued_[b]) {  // conflicts: precharge next
+          c = std::min(c, bank.ready_pre());
+        }
+      } else {
+        c = std::max(bank.ready_act(), act);
       }
-      if (matched != matched_reads) {  // matched writes
-        c = std::min(c, std::max(bank.ready_col(), bus));
-      }
-      if (matched != bank_queued_[b]) {  // conflicts: precharge next
-        c = std::min(c, bank.ready_pre());
-      }
-    } else {
-      c = std::max(bank.ready_act(),
-                   std::max(device_.next_act_allowed(rank),
-                            device_.act_faw_bound(rank)));
+      c = std::max(c, awake);
+      if (c < e) e = c;
     }
-    c = std::max(c, device_.wakeup_ready(rank));
-    if (c < e) e = c;
   }
   if (config_.page_policy == PagePolicy::kClosed) {
     // Closed-page also proactively precharges rows nobody queued for.

@@ -89,8 +89,8 @@ class Controller {
   // ---- fast-forward (docs/PERFORMANCE.md) ----
 
   /// Conservative lower bound, strictly greater than `now`, on the first
-  /// memory cycle at which tick() could do anything beyond the per-tick
-  /// queue-depth sampling (which skip_ticks() bulk-applies). kNoMemEvent
+  /// memory cycle at which tick() could do anything beyond counting its
+  /// queue-depth sample (which skip_ticks() also does). kNoMemEvent
   /// when the controller is fully quiescent (empty queues, no refresh).
   /// No side effects; landing on a cycle where nothing issues after all
   /// is harmless — the caller just recomputes the bound.
@@ -118,13 +118,10 @@ class Controller {
     return done == kNoMemEvent ? e : std::min(e, std::max(done, now + 1));
   }
 
-  /// Bulk-applies the only per-tick side effect of `n` skipped no-op
-  /// ticks: the queue-depth occupancy samples (queue sizes cannot change
-  /// during a skip, so all n samples equal the current depths).
-  void skip_ticks(dram::MemCycle n) {
-    read_q_depth_.record_n(static_cast<double>(read_q_.size()), n);
-    write_q_depth_.record_n(static_cast<double>(write_q_.size()), n);
-  }
+  /// Stands in for `n` skipped no-op ticks. Their only side effect is
+  /// one queue-depth sample each, and the queue sizes cannot change
+  /// during a skip, so they just add to the pending sample count.
+  void skip_ticks(dram::MemCycle n) { pending_depth_samples_ += n; }
 
   /// Whether any issued read is still in flight; callers use this to
   /// skip collect_completions() on the (common) ticks with nothing to
@@ -221,12 +218,16 @@ class Controller {
   [[nodiscard]] const ControllerConfig& config() const { return config_; }
 
   /// Exports counters (FR-FCFS decisions, refresh activity, queue
-  /// events) plus the per-tick queue-occupancy distributions; the
-  /// System registers this as the "memctrl" StatRegistry component.
+  /// events) plus the per-tick queue-occupancy distributions, pending
+  /// samples included; the System registers this as the "memctrl"
+  /// StatRegistry component.
   void export_stats(StatSet& out) const {
     export_counters(out);
-    out.put_dist("read_queue_depth", read_q_depth_);
-    out.put_dist("write_queue_depth", write_q_depth_);
+    Distribution read = read_q_depth_;
+    Distribution write = write_q_depth_;
+    record_pending_depths(read, write);
+    out.put_dist("read_queue_depth", read);
+    out.put_dist("write_queue_depth", write);
   }
 
  private:
@@ -292,11 +293,11 @@ class Controller {
   void export_counters(StatSet& out) const;
 
   // Demand index so row_still_needed is O(1) instead of re-scanning both
-  // queues per scheduling decision, and earliest_issue_bound is O(banks)
-  // instead of O(queued requests). The scheduler only ever asks about a
-  // bank's *currently open* row, so per-bank counters suffice: they are
-  // kept exact by the enqueue/dequeue hooks below plus a recount on ACT
-  // (recount_open_row_demand) and a reset on every PRE
+  // queues per scheduling decision, and earliest_issue_bound walks the
+  // queued banks instead of the queued requests. The scheduler only ever
+  // asks about a bank's *currently open* row, so per-bank counters
+  // suffice: they are kept exact by the enqueue/dequeue hooks below plus
+  // a recount on ACT (recount_open_row_demand) and a reset on every PRE
   // (clear_open_row_demand). Reads are counted separately because their
   // issue bound differs from writes' (tWTR after a write burst).
   void index_insert(const MemRequest& r) {
@@ -423,8 +424,23 @@ class Controller {
 
   mutable StatSet stats_cache_;  // materialized by stats()
   std::vector<ReadCompletion> completed_;  // collect_completions buffer
-  Distribution read_q_depth_;   // sampled every tick
+  // Queue occupancy, one sample per tick (executed or skipped). A tick
+  // only counts its sample; the count is flushed into both histograms
+  // just before a queue size changes, as that many samples of the
+  // current depths. record_n is exact for integer samples, so the
+  // histograms keep the bits per-tick recording would give them.
+  Distribution read_q_depth_;
   Distribution write_q_depth_;
+  std::uint64_t pending_depth_samples_ = 0;
+  void record_pending_depths(Distribution& read, Distribution& write) const {
+    read.record_n(static_cast<double>(read_q_.size()), pending_depth_samples_);
+    write.record_n(static_cast<double>(write_q_.size()),
+                   pending_depth_samples_);
+  }
+  void flush_depth_samples() {
+    record_pending_depths(read_q_depth_, write_q_depth_);
+    pending_depth_samples_ = 0;
+  }
 
   tracing::Tracer* tracer_ = nullptr;
   /// Queue-depth counter samples on enqueue/issue edges (depths only

@@ -1,6 +1,8 @@
 // Fuzz / property test of the memory controller: random mixed traffic
 // must never lose or duplicate a read, reads must complete in bounded
-// time, and the controller must drain to idle. The per-bank fuzzes
+// time, and the controller must drain to idle. The read-loss fuzzes
+// elide ticks the way System does and check the exported queue-depth
+// histograms against per-cycle reference samples. The per-bank fuzzes
 // additionally pin the refresh invariants (docs/SCHEDULING.md): every
 // bank keeps its retention-window coverage, postponement never exceeds
 // max_postponed_refreshes, and refresh debt is conserved across
@@ -19,6 +21,32 @@
 namespace mecc::memctrl {
 namespace {
 
+// Reference queue-occupancy histograms: one sample of each queue's depth
+// per memory cycle, recorded just before that cycle's tick or skip, as
+// the controller's own histograms are defined (docs/STATS.md).
+struct DepthOracle {
+  Distribution read;
+  Distribution write;
+
+  void sample(const Controller& ctl) {
+    read.record(static_cast<double>(ctl.read_queue_depth()));
+    write.record(static_cast<double>(ctl.write_queue_depth()));
+  }
+  void expect_exported_by(const Controller& ctl) const {
+    StatSet s;
+    ctl.export_stats(s);
+    const auto expect_same = [](const Distribution& got,
+                                const Distribution& want, const char* name) {
+      EXPECT_EQ(got.count, want.count) << name;
+      EXPECT_EQ(got.sum, want.sum) << name;
+      EXPECT_EQ(got.min, want.min) << name;
+      EXPECT_EQ(got.max, want.max) << name;
+    };
+    expect_same(s.dist("read_queue_depth"), read, "read_queue_depth");
+    expect_same(s.dist("write_queue_depth"), write, "write_queue_depth");
+  }
+};
+
 class ControllerFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ControllerFuzz, NoReadLostNoReadDuplicated) {
@@ -35,11 +63,19 @@ TEST_P(ControllerFuzz, NoReadLostNoReadDuplicated) {
   std::uint64_t enqueued_reads = 0;
   std::uint64_t enqueued_writes = 0;
 
+  // Ticks are elided as System elides them: a cycle ticks only if it
+  // tried to enqueue or reached the wake-up time of the last executed
+  // tick; skip_ticks(1) stands in for any other.
+  DepthOracle depths;
+  dram::MemCycle wake = 0;
+  std::uint64_t skipped = 0;
+
   const dram::MemCycle kTrafficCycles = 30'000;
   const dram::MemCycle kDrainCycles = 20'000;
   for (dram::MemCycle now = 0; now < kTrafficCycles + kDrainCycles; ++now) {
     // Bursty random traffic while in the traffic window.
-    if (now < kTrafficCycles && rng.chance(0.15)) {
+    const bool enqueues = now < kTrafficCycles && rng.chance(0.15);
+    if (enqueues) {
       const Address addr =
           rng.next_below(1 << 16) * kLineBytes;  // 4 MB hot region
       if (rng.chance(0.65)) {
@@ -51,6 +87,12 @@ TEST_P(ControllerFuzz, NoReadLostNoReadDuplicated) {
       } else {
         if (ctl.enqueue_write(addr, now)) ++enqueued_writes;
       }
+    }
+    depths.sample(ctl);
+    if (!enqueues && now < wake) {
+      ctl.skip_ticks(1);
+      ++skipped;
+      continue;
     }
     ctl.tick(now);
     for (const auto& c : ctl.collect_completions(now)) {
@@ -64,6 +106,7 @@ TEST_P(ControllerFuzz, NoReadLostNoReadDuplicated) {
       completed.insert(c.id);
       outstanding.erase(c.id);
     }
+    wake = ctl.next_wake(now);
   }
 
   EXPECT_GT(enqueued_reads, 500u);  // the fuzz actually exercised traffic
@@ -73,6 +116,8 @@ TEST_P(ControllerFuzz, NoReadLostNoReadDuplicated) {
   EXPECT_TRUE(ctl.idle());
   // Refresh kept running under load.
   EXPECT_GT(ctl.stats().counter("refreshes"), 20u);
+  depths.expect_exported_by(ctl);
+  EXPECT_GT(skipped, 10'000u);  // ~20 k of the 50 k cycles skip
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ControllerFuzz,
@@ -254,10 +299,16 @@ TEST(ControllerFuzzMultiRank, NoReadLostAcrossRanks) {
   std::uint64_t next_id = 1;
   std::uint64_t enqueued_reads = 0;
 
+  // Ticks elided as in the single-rank fuzz.
+  DepthOracle depths;
+  dram::MemCycle wake = 0;
+  std::uint64_t skipped = 0;
+
   const dram::MemCycle kTrafficCycles = 30'000;
   const dram::MemCycle kDrainCycles = 20'000;
   for (dram::MemCycle now = 0; now < kTrafficCycles + kDrainCycles; ++now) {
-    if (now < kTrafficCycles && rng.chance(0.15)) {
+    const bool enqueues = now < kTrafficCycles && rng.chance(0.15);
+    if (enqueues) {
       // Whole-device addresses so both ranks see traffic.
       const Address addr = rng.next_below(geo.total_lines()) * kLineBytes;
       if (rng.chance(0.65)) {
@@ -270,6 +321,12 @@ TEST(ControllerFuzzMultiRank, NoReadLostAcrossRanks) {
         (void)ctl.enqueue_write(addr, now);
       }
     }
+    depths.sample(ctl);
+    if (!enqueues && now < wake) {
+      ctl.skip_ticks(1);
+      ++skipped;
+      continue;
+    }
     ctl.tick(now);
     for (const auto& c : ctl.collect_completions(now)) {
       ASSERT_TRUE(outstanding.count(c.id)) << "unknown/duplicate id";
@@ -278,6 +335,7 @@ TEST(ControllerFuzzMultiRank, NoReadLostAcrossRanks) {
       completed.insert(c.id);
       outstanding.erase(c.id);
     }
+    wake = ctl.next_wake(now);
   }
 
   EXPECT_GT(enqueued_reads, 500u);
@@ -285,6 +343,8 @@ TEST(ControllerFuzzMultiRank, NoReadLostAcrossRanks) {
   EXPECT_EQ(completed.size(), enqueued_reads);
   EXPECT_TRUE(ctl.idle());
   EXPECT_GT(ctl.stats().counter("refreshes"), 20u);
+  depths.expect_exported_by(ctl);
+  EXPECT_GT(skipped, 10'000u);  // ~20 k of the 50 k cycles skip
 }
 
 class PerBankRefreshFuzzMultiRank
